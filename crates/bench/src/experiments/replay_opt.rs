@@ -23,7 +23,7 @@
 //! memoized regime PR 9 left the replay engine as the hot path of —
 //! must clear the [`OPT_SPEEDUP_FLOOR`] on cold run-phase wall-clock
 //! (the CI `replay-opt-smoke` gate, n=64): with the dirty cascade
-//! pinning analyze to one tile, the batched arm also filters the
+//! pinning analyze to one tile, batched runs also filter the
 //! replayed tail to that tile's declared reads, so the per-run suffix
 //! shrinks by roughly the tile count. Walls are compared on the *run
 //! phase* (total wall minus the time to the first run event) so the
@@ -122,10 +122,10 @@ pub fn replay_opt(opts: &Options) -> Report {
 
     // Write-site suffix-replay-dominated cells. The Montage 48-tile
     // mosaic is the headline: its memoized dirty cascade pins each
-    // run's analyze to one tile, so the batched arm filters the
+    // run's analyze to one tile, so batched runs filter the
     // replayed tail to that tile and the control's full-suffix replay
     // towers over it. The single-plotfile Nyx cell covers the
-    // unmemoized batched arm (no memo basis, full tail) — reported,
+    // unmemoized batched runs (no memo basis, full tail) — reported,
     // not gated, since its halo-finder analyze is the same order as
     // its replay.
     let cells: [(&'static str, usize, &'static str, u64); 2] =

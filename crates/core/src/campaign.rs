@@ -9,7 +9,16 @@
 //! runs (statistical significance) is reached. Runs are independent,
 //! so the campaign fans out across cores with rayon — the paper runs
 //! its campaigns on a 24-core node.
+//!
+//! [`Campaign`] (one signature) and [`MixedCampaign`] (several
+//! interleaved shards) are thin frontends over one private driver,
+//! and every injection run executes through one staged function:
+//! *fork source* (fresh mount, golden post-produce state, trace
+//! checkpoint, or batch mini-fork) → *tail* (none, op by op through
+//! the mount, or coalesced off-mount) → *analyze* (whole, or the
+//! memoized dirty cascade).
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -18,9 +27,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ffis_vfs::{
-    BatchForks, CheckpointStore, CounterSnapshot, FfisFs, Interceptor, MemFs, MemoStats, MemoStore,
-    Placement, Primitive, ReadLedger, ReadRecord, TraceCheckpoints, TraceOp, TraceRecorder,
-    PRIMITIVES,
+    BatchFork, BatchForks, CheckpointStore, CoalesceStats, CounterSnapshot, FfisFs, Interceptor,
+    MemFs, MemoStats, MemoStore, Placement, Primitive, ReadLedger, ReadRecord, ReplayCursor,
+    TraceCheckpoint, TraceCheckpoints, TraceOp, TraceRecorder, PRIMITIVES,
 };
 
 use crate::engine::journal::{wire, JournalEntry};
@@ -35,43 +44,59 @@ use crate::profiler::{IoProfiler, ProfileReport};
 use crate::rng::Rng;
 
 /// Campaign configuration (the paper's user configuration plus the
-/// execution knobs).
+/// execution knobs). One struct serves both frontends: `S` is one
+/// [`FaultSignature`] for a [`Campaign`] and the shard list for a
+/// [`MixedCampaign`] (see [`MixedCampaignConfig`]); every other field
+/// and every builder is shared.
 #[derive(Debug, Clone)]
-pub struct CampaignConfig {
-    /// Fault signature to inject.
-    pub signature: FaultSignature,
-    /// Number of injection runs (paper: 1,000 per cell).
+pub struct CampaignConfig<S = FaultSignature> {
+    /// Fault signature to inject — for a mixed campaign, the shard
+    /// signatures: global run `i` belongs to shard `i % len`
+    /// (round-robin), so the shards' strategies interleave
+    /// deterministically in run order.
+    pub signature: S,
+    /// Number of injection runs (paper: 1,000 per cell); the total
+    /// across shards for a mixed campaign.
     pub runs: usize,
-    /// Root seed; run `i` derives child stream `i`.
+    /// Root seed. A [`Campaign`]'s run `i` draws from child stream
+    /// `root.child(i)`; a mixed campaign's shard `s` owns
+    /// `root.child(s)` and its `j`-th run draws from
+    /// `root.child(s).child(j)`, so a shard's draws never depend on its
+    /// siblings, the scheduling order, or
+    /// [`CampaignConfig::parallel`].
     pub seed: u64,
     /// Fan runs out across the rayon thread pool.
     pub parallel: bool,
-    /// Golden-trace replay fast path (default **on**): instead of
-    /// re-executing the application's produce phase per injection run,
-    /// capture its mutating I/O once, fork the nearest log-spaced
-    /// mid-trace checkpoint preceding each run's target instance,
-    /// replay only the trace suffix through the armed injector, and
-    /// run the application's [`FaultApp::analyze`] phase. Per-run
-    /// outcomes, injection records, and crash messages are identical
-    /// to full reruns; [`CampaignResult::mode`] records which strategy
+    /// Fast paths (default **on** — see [`replay_default`]). Write-site
+    /// signatures capture the produce phase's mutating I/O once, fork
+    /// the nearest trace checkpoint preceding each run's target
+    /// instance, replay only the trace suffix through the armed
+    /// injector, and run the application's [`FaultApp::analyze`]
+    /// phase. Read-site signatures whose targets fire during analyze
+    /// fork the golden post-produce state and run only analyze;
+    /// produce-phase read targets always rerun, recording
+    /// [`ReplayFallback::ProduceReadFault`]. Per-run outcomes,
+    /// injection records, and crash messages are identical to full
+    /// reruns; [`CampaignResult::mode`] records which strategy
     /// executed and — when the campaign fell back — why.
     pub replay: bool,
-    /// Plan-aware replay optimizations (default **on** — see
-    /// [`replay_opt_default`]): because every run's injection target
-    /// is drawn at plan time (engine law 2), the campaign knows its
-    /// full fork-offset demand before any checkpoint is built. With
-    /// this knob on it (a) places the trace checkpoints against that
-    /// demand instead of log-spaced (zero pre-target replay when the
-    /// distinct targets fit the snapshot budget), (b) groups pending
-    /// replay runs sharing a checkpoint into fork-once-replay-many
-    /// batches (engine law 9), and (c) applies each batched run's
-    /// post-target suffix to the mount's inner filesystem with
-    /// adjacent sequential writes coalesced. All three are pure
-    /// wall-clock optimizations — outcomes, injection records, crash
-    /// messages, and run digests are byte-identical either way — and
-    /// all three disengage automatically while a liveness watchdog
-    /// ([`CampaignConfig::fuel`], [`CampaignConfig::wall_limit`]) is
-    /// armed, since fuel counts per-op mount crossings.
+    /// Plan-aware replay optimizations (default **on**): because every
+    /// run's injection target is drawn at plan time (engine law 2),
+    /// the campaign knows its full fork-offset demand before any
+    /// checkpoint is built. With this knob on it (a) places the trace
+    /// checkpoints against that demand (the union over every
+    /// write-site shard) instead of log-spaced (zero pre-target replay
+    /// when the distinct targets fit the snapshot budget), (b) groups
+    /// pending replay runs sharing a `(shard, checkpoint)` into
+    /// fork-once-replay-many batches (engine law 9), and (c) applies
+    /// each batched run's post-target tail to the mount's inner
+    /// filesystem with adjacent sequential writes coalesced. All three
+    /// are pure wall-clock optimizations — outcomes, injection
+    /// records, crash messages, and run digests are byte-identical
+    /// either way — and all three disengage automatically while a
+    /// liveness watchdog ([`CampaignConfig::fuel`],
+    /// [`CampaignConfig::wall_limit`]) is armed, since fuel counts
+    /// per-op mount crossings. `false` is the measurement control.
     pub replay_opt: bool,
     /// Retain at most this many full [`RunResult`]s in
     /// [`CampaignResult::runs`] (`None`, the default, keeps every
@@ -129,16 +154,17 @@ pub struct CampaignConfig {
     /// and completion accounting restrict to the range. `None` (the
     /// default) runs the whole plan.
     pub index_range: Option<(usize, usize)>,
-    /// Analyze memoization (default **on** — see [`memo_default`]):
-    /// when the workload declares analyze sub-steps
-    /// ([`FaultApp::analyze_substeps`]) and the campaign runs on a
-    /// fast path, each injection run re-computes only the sub-steps
-    /// whose read fingerprints its fault can actually change (the
-    /// dirty cascade) and assembles every clean sub-step from the
-    /// content-addressed memo store at cost 0. Engine law 8 guards the
-    /// substitution — memoized analyze equals full analyze byte for
-    /// byte — and [`CampaignResult::memo`] always records whether the
-    /// layer engaged and, when it did not, why.
+    /// Analyze memoization (default **on**): when the workload
+    /// declares analyze sub-steps ([`FaultApp::analyze_substeps`]) and
+    /// the campaign runs on a fast path, each injection run
+    /// re-computes only the sub-steps whose read fingerprints its
+    /// fault can actually change (the dirty cascade) and assembles
+    /// every clean sub-step from the content-addressed memo store at
+    /// cost 0. Engine law 8 guards the substitution — memoized analyze
+    /// equals full analyze byte for byte — and
+    /// [`CampaignResult::memo`] always records whether the layer
+    /// engaged and, when it did not, why. `false` is the measurement
+    /// control.
     pub memo: bool,
     /// Shared [`MemoStore`]: campaigns (and daemon jobs) handed the
     /// same store reuse each other's golden sub-step artifacts and
@@ -188,32 +214,18 @@ pub fn replay_default() -> bool {
     std::env::var("FFIS_REPLAY").map(|v| v != "0").unwrap_or(true)
 }
 
-/// Default value of [`CampaignConfig::memo`]: `true`, unless the
-/// environment sets `FFIS_MEMO=0` — the escape hatch CI uses to run
-/// multi-file campaigns over the whole-analyze reference path.
-pub fn memo_default() -> bool {
-    std::env::var("FFIS_MEMO").map(|v| v != "0").unwrap_or(true)
-}
-
-/// Default value of [`CampaignConfig::replay_opt`]: `true`, unless
-/// the environment sets `FFIS_REPLAY_OPT=0` — the escape hatch CI
-/// (and the `replay-opt` differential experiment's control arm) uses
-/// to run campaigns over log-spaced placement with per-run mounts.
-pub fn replay_opt_default() -> bool {
-    std::env::var("FFIS_REPLAY_OPT").map(|v| v != "0").unwrap_or(true)
-}
-
-impl CampaignConfig {
+impl<S: Signatures> CampaignConfig<S> {
     /// Config with paper defaults (1,000 runs, parallel, replay on —
-    /// see [`replay_default`]).
-    pub fn new(signature: FaultSignature) -> Self {
+    /// see [`replay_default`] — plus replay optimizations and analyze
+    /// memoization on).
+    pub fn new(signature: S) -> Self {
         CampaignConfig {
             signature,
             runs: 1000,
-            seed: 0xFF15_0001,
+            seed: S::DEFAULT_SEED,
             parallel: true,
             replay: replay_default(),
-            replay_opt: replay_opt_default(),
+            replay_opt: true,
             keep_runs: None,
             checkpoints: None,
             journal: None,
@@ -223,11 +235,13 @@ impl CampaignConfig {
             wall_limit: None,
             observer: None,
             index_range: None,
-            memo: memo_default(),
+            memo: true,
             memo_store: None,
         }
     }
+}
 
+impl<S> CampaignConfig<S> {
     /// Override the run count.
     pub fn with_runs(mut self, runs: usize) -> Self {
         self.runs = runs;
@@ -247,7 +261,7 @@ impl CampaignConfig {
         self
     }
 
-    /// Enable or disable the golden-trace replay fast path.
+    /// Enable or disable the fast paths (see [`CampaignConfig::replay`]).
     pub fn with_replay(mut self, replay: bool) -> Self {
         self.replay = replay;
         self
@@ -330,6 +344,40 @@ impl CampaignConfig {
         self
     }
 }
+
+/// The fault signatures a [`CampaignConfig`] carries: one
+/// [`FaultSignature`] for a [`Campaign`], the shard list
+/// (`Vec<FaultSignature>`) for a [`MixedCampaign`].
+pub trait Signatures {
+    /// The frontend's default root seed.
+    const DEFAULT_SEED: u64;
+
+    /// The signatures in shard order.
+    fn shards(&self) -> &[FaultSignature];
+}
+
+impl Signatures for FaultSignature {
+    const DEFAULT_SEED: u64 = 0xFF15_0001;
+
+    fn shards(&self) -> &[FaultSignature] {
+        std::slice::from_ref(self)
+    }
+}
+
+impl Signatures for Vec<FaultSignature> {
+    const DEFAULT_SEED: u64 = 0xFF15_0002;
+
+    fn shards(&self) -> &[FaultSignature] {
+        self
+    }
+}
+
+/// Configuration for a [`MixedCampaign`]: several fault signatures —
+/// typically read-site and write-site variants of the same models —
+/// sharing one golden run and one interleaved, seed-deterministic run
+/// schedule. Every execution field and builder is
+/// [`CampaignConfig`]'s.
+pub type MixedCampaignConfig = CampaignConfig<Vec<FaultSignature>>;
 
 /// Why a campaign configured for replay executed full reruns instead.
 ///
@@ -620,10 +668,12 @@ pub struct RunResult {
     pub injection: Option<InjectionRecord>,
     /// Crash message, when the run crashed.
     pub crash_message: Option<String>,
-    /// The execution strategy that produced *this* run. Equal to the
-    /// campaign-level [`CampaignResult::mode`] for single-signature
-    /// campaigns; in a [`MixedCampaign`] it varies per run (write-site
-    /// shards replay, read-site shards rerun).
+    /// The mode of the strategy planned for *this* run. Which fork
+    /// source and tail executed it (batched or not, memo-served or
+    /// not) never shows here, because they cannot change the result.
+    /// It equals the campaign-level [`CampaignResult::mode`] unless
+    /// that is [`ExecutionMode::PhaseSplit`] (produce-phase targets
+    /// rerun); in a [`MixedCampaign`] it follows the run's shard.
     pub mode: ExecutionMode,
     /// Set when a liveness watchdog aborted this run (always paired
     /// with [`Outcome::Crash`] and a synthesized crash message).
@@ -664,25 +714,7 @@ impl RunResult {
     fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64);
         wire::put_u64(&mut buf, self.target_instance);
-        match &self.injection {
-            None => buf.push(0),
-            Some(i) => {
-                buf.push(1);
-                buf.push(i.primitive.index() as u8);
-                wire::put_u64(&mut buf, i.instance);
-                wire::put_u64(&mut buf, i.prim_seq);
-                wire::put_opt_str(&mut buf, i.path.as_deref());
-                match i.offset {
-                    None => buf.push(0),
-                    Some(o) => {
-                        buf.push(1);
-                        wire::put_u64(&mut buf, o);
-                    }
-                }
-                wire::put_u64(&mut buf, i.len as u64);
-                wire::put_str(&mut buf, &i.detail);
-            }
-        }
+        put_injection(&mut buf, &self.injection);
         wire::put_opt_str(&mut buf, self.crash_message.as_deref());
         match self.mode {
             ExecutionMode::Replay => buf.push(0),
@@ -714,24 +746,7 @@ impl RunResult {
     fn decode(entry: &JournalEntry) -> Option<RunResult> {
         let mut r = wire::Reader::new(&entry.payload);
         let target_instance = r.u64()?;
-        let injection = match r.u8()? {
-            0 => None,
-            1 => {
-                let primitive = *PRIMITIVES.get(r.u8()? as usize)?;
-                let instance = r.u64()?;
-                let prim_seq = r.u64()?;
-                let path = r.opt_str()?;
-                let offset = match r.u8()? {
-                    0 => None,
-                    1 => Some(r.u64()?),
-                    _ => return None,
-                };
-                let len = r.u64()? as usize;
-                let detail = r.str()?;
-                Some(InjectionRecord { primitive, instance, prim_seq, path, offset, len, detail })
-            }
-            _ => return None,
-        };
+        let injection = take_injection(&mut r)?;
         if injection.is_some() != entry.fired {
             return None;
         }
@@ -763,6 +778,53 @@ impl RunResult {
             aborted,
         })
     }
+}
+
+/// Append an optional injection record — the one byte layout the
+/// journal payload and the run-level memo entry share: a presence
+/// byte, then primitive index, instance, `prim_seq`, optional path,
+/// optional offset, length, and detail.
+fn put_injection(buf: &mut Vec<u8>, injection: &Option<InjectionRecord>) {
+    let Some(i) = injection else {
+        buf.push(0);
+        return;
+    };
+    buf.push(1);
+    buf.push(i.primitive.index() as u8);
+    wire::put_u64(buf, i.instance);
+    wire::put_u64(buf, i.prim_seq);
+    wire::put_opt_str(buf, i.path.as_deref());
+    match i.offset {
+        None => buf.push(0),
+        Some(o) => {
+            buf.push(1);
+            wire::put_u64(buf, o);
+        }
+    }
+    wire::put_u64(buf, i.len as u64);
+    wire::put_str(buf, &i.detail);
+}
+
+/// Take what [`put_injection`] wrote; `None` when the bytes are
+/// malformed.
+fn take_injection(r: &mut wire::Reader<'_>) -> Option<Option<InjectionRecord>> {
+    match r.u8()? {
+        0 => return Some(None),
+        1 => {}
+        _ => return None,
+    }
+    let primitive = *PRIMITIVES.get(r.u8()? as usize)?;
+    let instance = r.u64()?;
+    let prim_seq = r.u64()?;
+    let path = r.opt_str()?;
+    let offset = match r.u8()? {
+        0 => None,
+        1 => Some(r.u64()?),
+        _ => return None,
+    };
+    let len = r.u64()? as usize;
+    let detail = r.str()?;
+    Some(Some(InjectionRecord { primitive, instance, prim_seq, path, offset, len, detail }))
 }
 
 /// FNV-1a, the workspace's standing digest primitive (the same
@@ -945,7 +1007,8 @@ impl std::fmt::Display for CampaignError {
 
 impl std::error::Error for CampaignError {}
 
-/// The campaign driver.
+/// Single-signature campaign: the frontend of Figure 4's workflow for
+/// one fault signature.
 pub struct Campaign<'a, A: FaultApp> {
     app: &'a A,
     config: CampaignConfig,
@@ -957,413 +1020,351 @@ impl<'a, A: FaultApp> Campaign<'a, A> {
         Campaign { app, config }
     }
 
-    /// Execute the whole workflow.
+    /// Execute the whole workflow: a one-shard run of the shared
+    /// driver whose run `i` draws from `root.child(i)`.
     pub fn run(&self) -> Result<CampaignResult, CampaignError> {
-        self.config.signature.validate().map_err(CampaignError::BadSignature)?;
-
-        // Phase 1+2: golden run doubles as the profiling run — the
-        // paper executes the application fault-free once to both count
-        // primitives and capture the reference output. When a fast
-        // path is configured (the default), the same run also records
-        // the golden trace (with a watermark between the two phases so
-        // the read-only-analyze law can be checked) and — for
-        // read-site signatures — the read ledger plus the
-        // phase-boundary counter snapshot the analyze-only strategy
-        // pre-seeds its mounts with.
-        let site_write = self.config.signature.primitive == Primitive::Write;
-        let site_read = self.config.signature.primitive == Primitive::Read;
-        let record = self.config.replay && (site_write || site_read);
-        let profiler =
-            IoProfiler::new(self.config.signature.primitive, self.config.signature.target.clone());
-        let recorder = Arc::new(TraceRecorder::new());
-        let ledger = Arc::new(ReadLedger::new());
-        // The memo gate (engine law 8) needs the golden analyze read
-        // stream even for write-site signatures, so the ledger rides
-        // along whenever the workload declares sub-steps. Attaching it
-        // only records — it never perturbs counters or the trace.
-        let substeps = if self.config.memo { self.app.analyze_substeps() } else { None };
-        let extras: Vec<Arc<dyn Interceptor>> = match (record, site_read || substeps.is_some()) {
-            (false, _) => Vec::new(),
-            (true, false) => vec![recorder.clone()],
-            (true, true) => vec![recorder.clone(), ledger.clone()],
-        };
-        let produced_ops = std::cell::Cell::new(0usize);
-        let boundary = std::cell::Cell::new(CounterSnapshot::default());
-        let (profile, golden, base) = profiler
-            .profile_with_mount(&extras, |ffs| {
-                self.app.produce(ffs)?;
-                produced_ops.set(recorder.len());
-                ledger.mark_produce_end();
-                boundary.set(ffs.counters());
-                self.app.analyze(ffs, None)
-            })
-            .map_err(CampaignError::GoldenRunFailed)?;
-        if profile.eligible == 0 {
-            return Err(CampaignError::NoEligibleInstances);
-        }
-
-        // Every per-run random draw happens *now*, before any plan is
-        // built, from the same per-run child streams as always: run
-        // `i` draws from `root.child(i)` (engine law 2). Drawing
-        // up front is what makes the fork-offset demand available to
-        // checkpoint placement — the specs depend only on the seed and
-        // the eligible count, never on the plan.
-        let root = Rng::seed_from(self.config.seed);
-        let specs: Vec<InjectionSpec> = (0..self.config.runs)
-            .map(|i| {
-                let mut rng = root.child(i as u64);
-                // "generates a random number from 0 to count-1" →
-                // 1-based instance index in [1, count].
-                let target_instance = rng.gen_range(profile.eligible) + 1;
-                let seed = rng.next_u64();
-                InjectionSpec { target_instance, seed }
-            })
-            .collect();
-        // The plan-aware replay optimizations disengage while a
-        // liveness watchdog is armed: fuel counts per-op mount
-        // crossings, so placement- or batching-induced suffix changes
-        // would alter exhaustion points (mirrors the memo gate below).
-        let replay_opt = self.config.replay_opt
-            && self.config.fuel.is_none()
-            && self.config.wall_limit.is_none();
-
-        let (mode, plan) = if !self.config.replay {
-            (ExecutionMode::FullRerun { reason: ReplayFallback::Disabled }, None)
-        } else if site_write {
-            let attempted_writes = profile.counters.get(Primitive::Write);
-            match self.replay_plan(
-                recorder.take_ops(),
-                produced_ops.get(),
-                profile.eligible,
-                attempted_writes,
-                &golden,
-                &base,
-                replay_opt.then_some(specs.as_slice()),
-            ) {
-                Ok(plan) => (ExecutionMode::Replay, Some(CampaignPlan::Replay(plan))),
-                Err(reason) => (ExecutionMode::FullRerun { reason }, None),
-            }
-        } else if site_read {
-            let basis = analyze_only_basis(
-                self.app,
-                &recorder.take_ops(),
-                produced_ops.get(),
-                &ledger,
-                boundary.get(),
-                &profile,
-                &golden,
-                &base,
-            );
-            match basis.and_then(|basis| {
-                analyze_only_plan(basis, &ledger, &self.config.signature.target, profile.eligible)
-            }) {
-                Ok(plan) => (plan.campaign_mode(), Some(CampaignPlan::AnalyzeOnly(plan))),
-                Err(reason) => (ExecutionMode::FullRerun { reason }, None),
-            }
-        } else {
-            (ExecutionMode::FullRerun { reason: ReplayFallback::NonWritePrimitive }, None)
-        };
-
-        // The analyze memoization gate (engine law 8) — never silent:
-        // either the sub-step laws validate against the golden run and
-        // the basis attaches to the fast-path plan, or the fallback
-        // reason lands in [`CampaignResult::memo`].
-        let mut plan = plan;
-        let mut mode = mode;
-        let memo_store = match (&substeps, self.config.memo) {
-            (Some(_), true) => Some(
-                self.config.memo_store.clone().unwrap_or_else(|| Arc::new(MemoStore::in_memory())),
-            ),
-            _ => None,
-        };
-        let stats_before = memo_store.as_ref().map(|s| s.stats()).unwrap_or_default();
-        let mut memo_report = MemoReport {
-            engaged: false,
-            substeps: substeps.as_ref().map(Vec::len).unwrap_or(0),
-            fallback: None,
-            stats: MemoStats::default(),
-        };
-        if !self.config.memo {
-            memo_report.fallback = Some(MemoFallback::Disabled);
-        } else if substeps.is_none() {
-            memo_report.fallback = Some(MemoFallback::NoSubsteps);
-        } else if self.config.fuel.is_some() || self.config.wall_limit.is_some() {
-            memo_report.fallback = Some(MemoFallback::Liveness);
-        } else if plan.is_none() {
-            memo_report.fallback = Some(MemoFallback::NotFastPath);
-        } else if ledger.len() as u64 != profile.counters.get(Primitive::Read) {
-            // The stream-identity law compares against the ledger; a
-            // ledger that missed counted reads cannot anchor it.
-            memo_report.fallback = Some(MemoFallback::SubstepStream);
-        } else {
-            let specs = substeps.clone().expect("checked above");
-            let store = memo_store.clone().expect("created when sub-steps are declared");
-            let golden_records = ledger.records();
-            let golden_analyze = &golden_records[ledger.produce_reads()..];
-            match &mut plan {
-                None => unreachable!("gated on plan.is_none() above"),
-                Some(CampaignPlan::Replay(rp)) => match substep_memo(
-                    self.app,
-                    specs,
-                    golden_analyze,
-                    boundary.get(),
-                    &golden,
-                    &base,
-                    &store,
-                ) {
-                    Ok(m) => {
-                        rp.memo = Some(Arc::new(m));
-                        memo_report.engaged = true;
-                    }
-                    Err(f) => memo_report.fallback = Some(f),
-                },
-                Some(CampaignPlan::AnalyzeOnly(ap)) => match substep_memo(
-                    self.app,
-                    specs,
-                    golden_analyze,
-                    boundary.get(),
-                    &golden,
-                    &base,
-                    &store,
-                ) {
-                    Ok(m) => {
-                        let target = &self.config.signature.target;
-                        let eligible_ranges = m
-                            .read_ranges
-                            .iter()
-                            .map(|&(start, end)| {
-                                let before = golden_analyze[..start]
-                                    .iter()
-                                    .filter(|r| target.matches(r.path.as_deref()))
-                                    .count() as u64;
-                                let within = golden_analyze[start..end]
-                                    .iter()
-                                    .filter(|r| target.matches(r.path.as_deref()))
-                                    .count() as u64;
-                                (before, within)
-                            })
-                            .collect();
-                        ap.memo =
-                            Some(Arc::new(IncrementalMemo { memo: Arc::new(m), eligible_ranges }));
-                        memo_report.engaged = true;
-                        mode = ap.campaign_mode();
-                    }
-                    Err(f) => memo_report.fallback = Some(f),
-                },
-            }
-        }
-        let plan = plan.map(Arc::new);
-
-        // Phase 3: N injection runs through the shared engine,
-        // resolving each pre-drawn spec to its planned strategy.
-        let golden = Arc::new(golden);
-        let fallback = match mode {
-            ExecutionMode::FullRerun { reason } => Some(reason),
-            _ => None,
-        };
-        let planned: Vec<PlannedRun<InjectionSpec>> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, &spec)| {
-                let strategy = match (&plan, fallback) {
-                    (Some(p), _) => p.strategy_for(spec.target_instance),
-                    (None, Some(reason)) => RunStrategy::Rerun { reason },
-                    (None, None) => unreachable!("fast-path modes always carry a plan"),
-                };
-                PlannedRun { index: i, shard: 0, strategy, spec }
-            })
-            .collect();
-        let replay_report = replay_opt_report(&planned, plan.as_deref(), replay_opt);
-        let fingerprint = plan_fingerprint(&planned, 1);
-        let meta = JournalMeta {
-            fingerprint,
-            seed: self.config.seed,
-            runs: self.config.runs as u64,
-            shards: 1,
-            context: format!("app={} mode={} eligible={}", self.app.name(), mode, profile.eligible),
-        };
-        let (journal, resumed) =
-            open_journal(self.config.journal.as_deref(), self.config.resume, meta)?;
-        let eplan = ExecutionPlan::new(planned, 1);
-        let engine_cfg = EngineConfig {
-            parallel: self.config.parallel,
-            keep_runs: self.config.keep_runs,
-            keep_seed: self.config.seed,
-        };
-        let liveness = Liveness { fuel: self.config.fuel, wall: self.config.wall_limit };
-        let persist_fn = journal.as_ref().map(|j| {
-            move |index: usize, outcome: Outcome, fired: bool, r: &RunResult| {
-                j.lock().unwrap_or_else(|e| e.into_inner()).append(
-                    index,
-                    outcome,
-                    fired,
-                    &r.encode(),
-                );
-            }
-        });
-        let observe_fn = self
-            .config
-            .observer
-            .as_ref()
-            .map(|obs| move |ev: RunEvent<'_, RunResult>| obs.call(ev.payload, ev.resumed));
-        let durability = Durability {
-            resumed,
-            cancel: self.config.cancel.as_deref(),
-            persist: persist_fn
-                .as_ref()
-                .map(|f| f as &(dyn Fn(usize, Outcome, bool, &RunResult) + Sync)),
-            observe: observe_fn.as_ref().map(|f| f as &(dyn Fn(RunEvent<'_, RunResult>) + Sync)),
-            index_range: self.config.index_range,
-        };
-        // Checkpoint-grouped batch execution (engine law 9): pending
-        // replay runs sharing a checkpoint get a lazily built batch of
-        // per-target mini-forks; memoized replay runs batch through
-        // the same reconstruction with the dirty-cascade analyze. A
-        // batch that fails to build (or lacks a run's target) degrades
-        // to the classic per-run arm — byte-identical either way.
-        let opt_counters = ReplayOptCounters::default();
-        let batching = replay_opt && matches!(plan.as_deref(), Some(CampaignPlan::Replay(_)));
-        let out = engine::execute_durable_batched(
-            &eplan,
-            &engine_cfg,
-            durability,
-            |pr| if batching { pr.strategy.batch_key() } else { None },
-            |members| {
-                let Some(CampaignPlan::Replay(rp)) = plan.as_deref() else { return None };
-                let targets: Vec<usize> = members
-                    .iter()
-                    .map(|&i| rp.eligible_ops[(specs[i].target_instance - 1) as usize])
-                    .collect();
-                let RunStrategy::Replay { checkpoint, .. } =
-                    rp.strategy_for(specs[members[0]].target_instance)
-                else {
-                    return None;
-                };
-                let batch = rp.cache.fork_at_targets(checkpoint, &targets).ok()?;
-                opt_counters.batches.fetch_add(1, Ordering::Relaxed);
-                Some(batch)
+        let sig = &self.config.signature;
+        let name = self.app.name();
+        let r = drive(
+            self.app,
+            &self.config,
+            (sig.primitive, sig.target.clone()),
+            |root, i| root.child(i as u64),
+            |shards| {
+                format!("app={} mode={} eligible={}", name, shards[0].mode(), shards[0].eligible)
             },
-            |pr, batch| {
-                let result = match (batch, plan.as_deref()) {
-                    (Some(batch), Some(CampaignPlan::Replay(rp))) => match &rp.memo {
-                        Some(memo) => execute_memoized_batched(
-                            self.app,
-                            &self.config.signature,
-                            rp,
-                            memo,
-                            batch,
-                            &golden,
-                            pr.index,
-                            pr.spec.target_instance,
-                            pr.spec.seed,
-                            &opt_counters,
-                        ),
-                        None => execute_run_batched(
-                            self.app,
-                            &self.config.signature,
-                            rp,
-                            batch,
-                            &golden,
-                            pr.index,
-                            pr.spec.target_instance,
-                            pr.spec.seed,
-                            &opt_counters,
-                        ),
-                    },
-                    _ => None,
-                }
-                .unwrap_or_else(|| {
-                    execute_run(
-                        self.app,
-                        &self.config.signature,
-                        plan.as_deref(),
-                        pr.strategy,
-                        &golden,
-                        pr.index,
-                        pr.spec.target_instance,
-                        pr.spec.seed,
-                        liveness,
-                    )
-                });
-                RunRecord {
-                    outcome: result.outcome,
-                    fired: result.injection.is_some(),
-                    payload: result,
-                }
-            },
-        );
-        let replay_report = replay_report.with_counters(&opt_counters);
-
-        if let Some(store) = &memo_store {
-            let after = store.stats();
-            memo_report.stats = MemoStats {
-                hits: after.hits.saturating_sub(stats_before.hits),
-                misses: after.misses.saturating_sub(stats_before.misses),
-                invalidations: after.invalidations.saturating_sub(stats_before.invalidations),
-            };
-        }
-
+        )?;
         Ok(CampaignResult {
-            tally: out.tally,
-            runs: out.kept,
-            profile,
-            mode,
-            plan_fingerprint: fingerprint,
-            status: out.status,
-            executed: out.executed,
-            resumed: out.resumed,
-            memo: memo_report,
-            replay_opt: replay_report,
+            tally: r.tally,
+            runs: r.runs,
+            profile: r.profile,
+            mode: r.shards[0].mode,
+            plan_fingerprint: r.plan_fingerprint,
+            status: r.status,
+            executed: r.executed,
+            resumed: r.resumed,
+            memo: r.memo,
+            replay_opt: r.replay_opt,
         })
     }
+}
 
-    /// Gate and validate the replay fast path, building the mid-trace
-    /// checkpoint cache. The campaign-wide replay laws (read-only
-    /// analyze, attempted-vs-recorded write counts, golden identity,
-    /// uninjected-replay fidelity) live in [`shared_replay_cache`] —
-    /// one implementation, shared with [`MixedCampaign`]'s write-site
-    /// shards so the engagement rules cannot drift apart. This adds
-    /// the per-signature check: the trace must contain exactly as many
-    /// eligible writes as the profiler counted, or replay instance
-    /// numbering would diverge from the injector's.
-    ///
-    /// (The `Write`-primitive gate is applied by the caller before any
-    /// trace is recorded: buffer-level faults — `Replace` keeps the
-    /// length, `Drop` skips the device write — can never make a
-    /// replayed op fail, so the straight-line trace stays faithful.)
-    #[allow(clippy::too_many_arguments)]
-    fn replay_plan(
-        &self,
-        ops: Vec<TraceOp>,
-        produced_ops: usize,
-        eligible: u64,
-        attempted_writes: u64,
-        golden: &A::Output,
-        golden_fs: &MemFs,
-        demand_specs: Option<&[InjectionSpec]>,
-    ) -> Result<ReplayPlan, ReplayFallback> {
-        let eligible_ops = eligible_write_ops(&ops, &self.config.signature.target);
-        if eligible_ops.len() as u64 != eligible {
-            return Err(ReplayFallback::TraceMismatch);
+/// The one campaign driver behind both frontends: golden run → plan
+/// every shard and run the memo gate → journal → engine → results.
+/// The frontends differ only in the profiler's scope (what
+/// [`ProfileReport::eligible`] counts), the plan-time draw rule
+/// (`draw(root, i)` is run `i`'s stream), and the journal context.
+fn drive<A: FaultApp, S: Signatures>(
+    app: &A,
+    cfg: &CampaignConfig<S>,
+    scope: (Primitive, TargetFilter),
+    draw: impl Fn(&Rng, usize) -> Rng,
+    context: impl FnOnce(&[Shard]) -> String,
+) -> Result<MixedCampaignResult, CampaignError> {
+    let sigs = cfg.signature.shards();
+    for sig in sigs {
+        sig.validate().map_err(CampaignError::BadSignature)?;
+    }
+    let k = sigs.len();
+    let any_site = |p: Primitive| sigs.iter().any(|s| s.primitive == p);
+
+    // Phase 1+2: golden run doubles as the profiling run — the paper
+    // executes the application fault-free once to both count
+    // primitives and capture the reference output. When a fast path
+    // is configured (the default), the same run also records the
+    // golden trace (with a watermark between the two phases so the
+    // read-only-analyze law can be checked) and the read ledger plus
+    // the phase-boundary counter snapshot the analyze-only strategy
+    // pre-seeds its mounts with. The memo gate (engine law 8) needs
+    // the golden analyze read stream even for write-site signatures,
+    // so the ledger also rides along whenever the workload declares
+    // sub-steps. Attaching either only records — it never perturbs
+    // counters or the trace.
+    let record = cfg.replay && (any_site(Primitive::Write) || any_site(Primitive::Read));
+    let substeps = if cfg.memo { app.analyze_substeps() } else { None };
+    let recorder = Arc::new(TraceRecorder::new());
+    let ledger = Arc::new(ReadLedger::new());
+    let mut extras: Vec<Arc<dyn Interceptor>> = Vec::new();
+    if record {
+        extras.push(recorder.clone());
+        if any_site(Primitive::Read) || substeps.is_some() {
+            extras.push(ledger.clone());
         }
-        // With plan-aware placement enabled, the pre-drawn injection
-        // specs resolve to trace op indices — the exact fork offsets
-        // the checkpoint builder should place snapshots at.
-        let demand: Option<Vec<usize>> = demand_specs.map(|specs| {
-            specs.iter().map(|s| eligible_ops[(s.target_instance - 1) as usize]).collect()
-        });
-        let cache = shared_replay_cache(
-            self.app,
+    }
+    let produced_ops = Cell::new(0usize);
+    let boundary = Cell::new(CounterSnapshot::default());
+    let (profile, golden, base) = IoProfiler::new(scope.0, scope.1)
+        .profile_with_mount(&extras, |ffs| {
+            app.produce(ffs)?;
+            produced_ops.set(recorder.len());
+            ledger.mark_produce_end();
+            boundary.set(ffs.counters());
+            app.analyze(ffs, None)
+        })
+        .map_err(CampaignError::GoldenRunFailed)?;
+    let (produced_ops, boundary) = (produced_ops.get(), boundary.get());
+    let eligible: Vec<u64> = sigs
+        .iter()
+        .map(|sig| {
+            let in_scope = |p: Option<&str>| sig.target.matches(p);
+            profile.trace.iter().filter(|r| r.in_scope(sig.primitive, in_scope)).count() as u64
+        })
+        .collect();
+    if eligible.contains(&0) {
+        return Err(CampaignError::NoEligibleInstances);
+    }
+
+    // Every per-run random draw happens *now*, before any plan is
+    // built (engine law 2). Drawing up front is what makes the
+    // fork-offset demand available to checkpoint placement — the
+    // specs depend only on the seed and the eligible counts, never on
+    // the plan.
+    let root = Rng::seed_from(cfg.seed);
+    let specs: Vec<InjectionSpec> = (0..cfg.runs)
+        .map(|i| {
+            let mut rng = draw(&root, i);
+            // "generates a random number from 0 to count-1" → 1-based
+            // instance index in [1, count].
+            let target_instance = rng.gen_range(eligible[i % k]) + 1;
+            InjectionSpec { target_instance, seed: rng.next_u64() }
+        })
+        .collect();
+    // The plan-aware replay optimizations disengage while a liveness
+    // watchdog is armed: fuel counts per-op mount crossings, so
+    // placement- or batching-induced tail changes would alter
+    // exhaustion points (the memo gate below does the same).
+    let liveness = Liveness { fuel: cfg.fuel, wall: cfg.wall_limit };
+    let replay_opt = cfg.replay_opt && !liveness.is_armed();
+
+    // The golden trace is taken once and serves both fast paths: the
+    // analyze-only basis borrows it (read-only-analyze law), the
+    // write-site checkpoint cache consumes it. Each write shard's
+    // eligible writes must number exactly as the profiler counted, or
+    // replay instance numbering would diverge from the injector's.
+    let ops = recorder.take_ops();
+    let write_ops: Vec<Option<Vec<usize>>> = sigs
+        .iter()
+        .map(|sig| {
+            (sig.primitive == Primitive::Write).then(|| eligible_write_ops(&ops, &sig.target))
+        })
+        .collect();
+    let faithful = |s: usize| write_ops[s].as_ref().is_some_and(|w| w.len() as u64 == eligible[s]);
+    // With the optimizations on, the pre-drawn specs resolve to trace
+    // op indices — the exact fork offsets (over every write shard) the
+    // checkpoint builder should place snapshots at.
+    let demand: Option<Vec<usize>> = replay_opt.then(|| {
+        specs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| write_ops[i % k].as_ref()?.get((s.target_instance - 1) as usize))
+            .copied()
+            .collect()
+    });
+    let basis = if cfg.replay && any_site(Primitive::Read) {
+        analyze_only_basis(app, &ops, produced_ops, &ledger, boundary, &profile, &golden, &base)
+    } else {
+        Err(ReplayFallback::Disabled)
+    };
+    let cache = if cfg.replay && (0..k).any(faithful) {
+        shared_replay_cache(
+            app,
             ops,
             produced_ops,
-            attempted_writes,
-            golden,
-            golden_fs,
-            self.config.checkpoints.as_deref(),
+            profile.counters.get(Primitive::Write),
+            &golden,
+            &base,
+            cfg.checkpoints.as_deref(),
             demand.as_deref(),
-        )?;
-        Ok(ReplayPlan { cache, eligible_ops, memo: None })
+        )
+    } else {
+        // Not replayed: free the golden trace's payloads before the
+        // runs start instead of holding them through execution.
+        drop(ops);
+        Err(ReplayFallback::Disabled)
+    };
+    let mut shards: Vec<Shard> = sigs
+        .iter()
+        .zip(&eligible)
+        .zip(write_ops)
+        .map(|((sig, &eligible), write_ops)| {
+            let plan = match (sig.primitive, write_ops) {
+                _ if !cfg.replay => Err(ReplayFallback::Disabled),
+                (Primitive::Write, Some(eligible_ops)) if eligible_ops.len() as u64 == eligible => {
+                    cache.clone().map(|cache| {
+                        CampaignPlan::Replay(ReplayPlan { cache, eligible_ops, memo: None })
+                    })
+                }
+                (Primitive::Write, _) => Err(ReplayFallback::TraceMismatch),
+                (Primitive::Read, _) => basis
+                    .clone()
+                    .and_then(|b| analyze_only_plan(b, &ledger, &sig.target, eligible))
+                    .map(CampaignPlan::AnalyzeOnly),
+                _ => Err(ReplayFallback::NonWritePrimitive),
+            };
+            Shard { signature: sig.clone(), eligible, plan }
+        })
+        .collect();
+
+    // The analyze memoization gate (engine law 8) — never silent:
+    // either the sub-step laws validate against the golden run and
+    // the basis attaches to every fast-path shard plan, or the
+    // fallback reason lands in the memo report.
+    let memo_store = substeps
+        .as_ref()
+        .map(|_| cfg.memo_store.clone().unwrap_or_else(|| Arc::new(MemoStore::in_memory())));
+    let stats_before = memo_store.as_ref().map(|s| s.stats()).unwrap_or_default();
+    let mut memo = MemoReport {
+        engaged: false,
+        substeps: substeps.as_ref().map_or(0, Vec::len),
+        fallback: None,
+        stats: MemoStats::default(),
+    };
+    memo.fallback = if !cfg.memo {
+        Some(MemoFallback::Disabled)
+    } else if substeps.is_none() {
+        Some(MemoFallback::NoSubsteps)
+    } else if liveness.is_armed() {
+        Some(MemoFallback::Liveness)
+    } else if shards.iter().all(|s| s.plan.is_err()) {
+        Some(MemoFallback::NotFastPath)
+    } else if ledger.len() as u64 != profile.counters.get(Primitive::Read) {
+        // The stream-identity law compares against the ledger; a
+        // ledger that missed counted reads cannot anchor it.
+        Some(MemoFallback::SubstepStream)
+    } else {
+        let reads = ledger.records();
+        let golden_analyze = &reads[ledger.produce_reads()..];
+        let store = memo_store.as_ref().expect("created when sub-steps are declared");
+        let declared = substeps.clone().expect("checked above");
+        match substep_memo(app, declared, golden_analyze, boundary, &golden, &base, store) {
+            Ok(m) => {
+                let m = Arc::new(m);
+                for shard in &mut shards {
+                    match &mut shard.plan {
+                        Ok(CampaignPlan::Replay(rp)) => rp.memo = Some(m.clone()),
+                        Ok(CampaignPlan::AnalyzeOnly(ap)) => {
+                            let target = &shard.signature.target;
+                            let ia = IncrementalMemo::new(m.clone(), golden_analyze, target);
+                            ap.memo = Some(Arc::new(ia));
+                        }
+                        Err(_) => {}
+                    }
+                }
+                memo.engaged = true;
+                None
+            }
+            Err(f) => Some(f),
+        }
+    };
+
+    // Phase 3: N injection runs through the shared engine, resolving
+    // each pre-drawn spec to its shard's planned strategy.
+    let planned: Vec<PlannedRun<InjectionSpec>> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, &spec)| {
+            let shard = i % k;
+            PlannedRun { index: i, shard, strategy: shards[shard].strategy_for(&spec), spec }
+        })
+        .collect();
+    let replay_report = replay_opt_report(&planned, &shards, replay_opt);
+    let fingerprint = plan_fingerprint(&planned, k);
+    let meta = JournalMeta {
+        fingerprint,
+        seed: cfg.seed,
+        runs: cfg.runs as u64,
+        shards: k as u32,
+        context: context(&shards),
+    };
+    let (journal, resumed) = open_journal(cfg.journal.as_deref(), cfg.resume, meta)?;
+    let eplan = ExecutionPlan::new(planned, k);
+    let engine_cfg =
+        EngineConfig { parallel: cfg.parallel, keep_runs: cfg.keep_runs, keep_seed: cfg.seed };
+    let persist_fn = journal.as_ref().map(|j| {
+        move |index: usize, outcome: Outcome, fired: bool, r: &RunResult| {
+            j.lock().unwrap_or_else(|e| e.into_inner()).append(index, outcome, fired, &r.encode());
+        }
+    });
+    let observe_fn = cfg
+        .observer
+        .as_ref()
+        .map(|obs| move |ev: RunEvent<'_, RunResult>| obs.call(ev.payload, ev.resumed));
+    let durability = Durability {
+        resumed,
+        cancel: cfg.cancel.as_deref(),
+        persist: persist_fn
+            .as_ref()
+            .map(|f| f as &(dyn Fn(usize, Outcome, bool, &RunResult) + Sync)),
+        observe: observe_fn.as_ref().map(|f| f as &(dyn Fn(RunEvent<'_, RunResult>) + Sync)),
+        index_range: cfg.index_range,
+    };
+    // Checkpoint-grouped batch execution (engine law 9), keyed per
+    // `(shard, checkpoint)` so a batch never mixes signatures: pending
+    // replay runs sharing a checkpoint get a lazily built batch of
+    // per-target mini-forks. A run whose batch failed to build (or
+    // lacks its target) forks its checkpoint instead — byte-identical
+    // either way.
+    let opt_counters = ReplayOptCounters::default();
+    let batching =
+        replay_opt && shards.iter().any(|s| matches!(s.plan, Ok(CampaignPlan::Replay(_))));
+    let out = engine::execute_durable_batched(
+        &eplan,
+        &engine_cfg,
+        durability,
+        |pr| pr.strategy.batch_key().filter(|_| batching).map(|ck| (pr.shard, ck)),
+        |members| {
+            let first = &eplan.runs()[members[0]];
+            let (RunStrategy::Replay { checkpoint, .. }, Ok(CampaignPlan::Replay(rp))) =
+                (first.strategy, &shards[first.shard].plan)
+            else {
+                return None;
+            };
+            let targets: Vec<usize> = members.iter().map(|&i| rp.target_op(&specs[i])).collect();
+            let batch = rp.cache.fork_at_targets(checkpoint, &targets).ok()?;
+            opt_counters.batches.fetch_add(1, Ordering::Relaxed);
+            Some(batch)
+        },
+        |pr, batch| {
+            let result =
+                execute_run(app, &shards[pr.shard], &golden, pr, batch, liveness, &opt_counters);
+            RunRecord {
+                outcome: result.outcome,
+                fired: result.injection.is_some(),
+                payload: result,
+            }
+        },
+    );
+
+    if let Some(store) = &memo_store {
+        let after = store.stats();
+        memo.stats = MemoStats {
+            hits: after.hits.saturating_sub(stats_before.hits),
+            misses: after.misses.saturating_sub(stats_before.misses),
+            invalidations: after.invalidations.saturating_sub(stats_before.invalidations),
+        };
     }
+    let shards = shards
+        .iter()
+        .zip(&out.shard_tallies)
+        .map(|(shard, tally)| ShardReport {
+            signature: shard.signature.clone(),
+            eligible: shard.eligible,
+            mode: shard.mode(),
+            tally: *tally,
+        })
+        .collect();
+    Ok(MixedCampaignResult {
+        tally: out.tally,
+        runs: out.kept,
+        profile,
+        shards,
+        plan_fingerprint: fingerprint,
+        status: out.status,
+        executed: out.executed,
+        resumed: out.resumed,
+        memo,
+        replay_opt: replay_report.with_counters(&opt_counters),
+    })
 }
 
 /// Plan-time per-run data of an injection campaign: the uniformly
@@ -1418,6 +1419,10 @@ struct Liveness {
 }
 
 impl Liveness {
+    fn is_armed(&self) -> bool {
+        self.fuel.is_some() || self.wall.is_some()
+    }
+
     fn arm(&self, ffs: &FfisFs) {
         if let Some(budget) = self.fuel {
             ffs.set_fuel(budget);
@@ -1430,9 +1435,9 @@ impl Liveness {
 
 /// What the plan-aware replay optimizations
 /// ([`CampaignConfig::replay_opt`]) did for one campaign: plan-level
-/// suffix/overshoot accounting plus the batched arm's run-time
-/// counters. Purely observational — none of this feeds run digests or
-/// journal payloads.
+/// suffix/overshoot accounting plus the batched runs' counters.
+/// Purely observational — none of this feeds run digests or journal
+/// payloads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayOptReport {
     /// Were the optimizations armed (knob on, no liveness watchdog)?
@@ -1451,16 +1456,16 @@ pub struct ReplayOptReport {
     /// Batch contexts built this invocation (resumed runs never
     /// batch).
     pub batches: u64,
-    /// Runs executed through a batch context.
+    /// Runs executed from a batch mini-fork.
     pub batched_runs: u64,
     /// Vectored write applications issued while coalescing batched
-    /// suffixes.
+    /// tails.
     pub coalesced_calls: u64,
     /// Trace ops folded into those vectored applications.
     pub coalesced_ops: u64,
-    /// Tail ops the memoized batched arm dropped because no dirty
-    /// analyze sub-step declares their path as input — suffix bytes
-    /// never copied at all.
+    /// Tail ops memoized batched runs dropped because no dirty analyze
+    /// sub-step declares their path as input — tail bytes never copied
+    /// at all.
     pub skipped_tail_ops: u64,
 }
 
@@ -1476,8 +1481,8 @@ impl ReplayOptReport {
     }
 }
 
-/// Shared run-time counters of the batched replay arm (referenced by
-/// the engine's worker closures; relaxed ordering — they are pure
+/// Shared run-time counters of the batched runs (referenced by the
+/// engine's worker closures; relaxed ordering — they are pure
 /// telemetry).
 #[derive(Debug, Default)]
 struct ReplayOptCounters {
@@ -1488,192 +1493,43 @@ struct ReplayOptCounters {
     skipped_tail_ops: AtomicU64,
 }
 
+impl ReplayOptCounters {
+    fn note_tail(&self, stats: &CoalesceStats) {
+        self.coalesced_calls.fetch_add(stats.coalesced_calls as u64, Ordering::Relaxed);
+        self.coalesced_ops.fetch_add(stats.coalesced_ops as u64, Ordering::Relaxed);
+        self.skipped_tail_ops.fetch_add(stats.skipped_ops as u64, Ordering::Relaxed);
+    }
+}
+
 /// Plan-level half of [`ReplayOptReport`]: suffix and overshoot
-/// accounting over the planned replay runs, against the write-site
-/// plan's placement.
+/// accounting over the planned replay runs, against each write-site
+/// shard's placement.
 fn replay_opt_report(
     planned: &[PlannedRun<InjectionSpec>],
-    plan: Option<&CampaignPlan>,
+    shards: &[Shard],
     engaged: bool,
 ) -> ReplayOptReport {
     let mut report = ReplayOptReport { engaged, ..ReplayOptReport::default() };
-    let Some(CampaignPlan::Replay(rp)) = plan else {
-        return report;
-    };
-    let n = rp.cache.ops().len() as u64;
     for pr in planned {
-        if let RunStrategy::Replay { suffix_len, .. } = pr.strategy {
+        if let (RunStrategy::Replay { suffix_len, .. }, Ok(CampaignPlan::Replay(rp))) =
+            (pr.strategy, &shards[pr.shard].plan)
+        {
             report.replayed_suffix_ops += suffix_len as u64;
-            let target_op = rp.eligible_ops[(pr.spec.target_instance - 1) as usize] as u64;
-            report.minimal_suffix_ops += n - target_op;
+            report.minimal_suffix_ops += (rp.cache.ops().len() - rp.target_op(&pr.spec)) as u64;
         }
     }
     report.overshoot = report.replayed_suffix_ops.saturating_sub(report.minimal_suffix_ops);
-    report.demand_placed = matches!(rp.cache.placement(), Placement::Demand(_));
+    report.demand_placed = shards.iter().any(|s| {
+        matches!(&s.plan, Ok(CampaignPlan::Replay(rp))
+            if matches!(rp.cache.placement(), Placement::Demand(_)))
+    });
     report
 }
 
-/// Execute one batched replay run (engine law 9): fork the batch's
-/// pre-target mini-checkpoint, step only the target op through the
-/// mount (the armed crossing, observing full-replay numbering from
-/// the mini-point's pre-seeded prefix counters), apply the remaining
-/// suffix to the mount's inner filesystem with sequential writes
-/// coalesced, restore analyze-time counter numbering from the
-/// recorded tail delta, then analyze. Returns `None` when the batch
-/// carries no fork for this run's target — the caller falls back to
-/// the classic arm, which is byte-identical.
-#[allow(clippy::too_many_arguments)]
-fn execute_run_batched<A: FaultApp>(
-    app: &A,
-    signature: &FaultSignature,
-    plan: &ReplayPlan,
-    batch: &BatchForks,
-    golden: &A::Output,
-    run: usize,
-    target_instance: u64,
-    seed: u64,
-    counters: &ReplayOptCounters,
-) -> Option<RunResult> {
-    let target_op = plan.eligible_ops[(target_instance - 1) as usize];
-    let fork = batch.for_target(target_op)?;
-    counters.batched_runs.fetch_add(1, Ordering::Relaxed);
-    // The mini-point sits exactly at the target op, so the eligible
-    // writes already "seen" are precisely the earlier instances.
-    let injector = Arc::new(ArmedInjector::resuming(
-        signature.clone(),
-        target_instance,
-        seed,
-        target_instance - 1,
-    ));
-    let (ffs, mut cursor) = fork.point().mount_fork();
-    ffs.attach(injector.clone());
-    let ops = plan.cache.ops();
-    let app_result = catch_unwind(AssertUnwindSafe(|| -> Result<A::Output, String> {
-        cursor.step(&*ffs, &ops[target_op]).map_err(|e| e.to_string())?;
-        // The fault has fired (or deliberately dropped its write);
-        // nothing needs per-op visibility any more, so the tail
-        // applies straight to the inner filesystem, coalesced.
-        let stats = cursor
-            .replay_coalesced(&**ffs.inner(), &ops[target_op + 1..])
-            .map_err(|e| e.to_string())?;
-        counters.coalesced_calls.fetch_add(stats.coalesced_calls as u64, Ordering::Relaxed);
-        counters.coalesced_ops.fetch_add(stats.coalesced_ops as u64, Ordering::Relaxed);
-        ffs.preseed_counters(&fork.tail_counters());
-        app.analyze(&*ffs, Some(golden))
-    }));
-    ffs.unmount();
-    Some(finish_run(
-        app,
-        golden,
-        run,
-        target_instance,
-        injector.record(),
-        ExecutionMode::Replay,
-        app_result,
-    ))
-}
-
-/// The memoized sibling of [`execute_run_batched`]: the same
-/// mini-fork / armed-target-step / coalesced-tail state
-/// reconstruction, followed by the dirty-cascade analyze of
-/// [`execute_replay_memoized`] instead of a whole analyze (the dirty
-/// set and run-key memoization are plan-derived, so they are
-/// identical to the unbatched arm's). Returns `None` when the batch
-/// carries no fork for this run's target — the caller falls back to
-/// the classic memoized arm, which is byte-identical.
-#[allow(clippy::too_many_arguments)]
-fn execute_memoized_batched<A: FaultApp>(
-    app: &A,
-    signature: &FaultSignature,
-    plan: &ReplayPlan,
-    memo: &SubstepMemo,
-    batch: &BatchForks,
-    golden: &A::Output,
-    run: usize,
-    target_instance: u64,
-    seed: u64,
-    counters: &ReplayOptCounters,
-) -> Option<RunResult> {
-    let mode = ExecutionMode::Replay;
-    let target_op = plan.eligible_ops[(target_instance - 1) as usize];
-    let fork = batch.for_target(target_op)?;
-    let dirty: Vec<usize> = match plan.cache.ops()[target_op].write_path() {
-        Some(p) => {
-            memo.specs.iter().enumerate().filter(|(_, s)| s.reads(p)).map(|(i, _)| i).collect()
-        }
-        // A write op without a path cannot be attributed; treat every
-        // sub-step as dirty (conservative, still exact).
-        None => (0..memo.specs.len()).collect(),
-    };
-    memo.store.note_hits((memo.specs.len() - dirty.len()) as u64);
-    memo.store.note_invalidations(dirty.len() as u64);
-    let run_key = memo_run_key(memo.golden_key, signature, target_instance, seed);
-    if let Some(bytes) = memo.store.get(&run_key) {
-        if let Some(entry) = decode_memo_run(&bytes) {
-            return Some(finish_memo_run(app, memo, golden, run, target_instance, mode, entry));
-        }
-    }
-    counters.batched_runs.fetch_add(1, Ordering::Relaxed);
-    let injector = Arc::new(ArmedInjector::resuming(
-        signature.clone(),
-        target_instance,
-        seed,
-        target_instance - 1,
-    ));
-    let (ffs, mut cursor) = fork.point().mount_fork();
-    ffs.attach(injector.clone());
-    let ops = plan.cache.ops();
-    let result = catch_unwind(AssertUnwindSafe(|| -> MemoRunOutput<A> {
-        cursor.step(&*ffs, &ops[target_op]).map_err(|e| e.to_string())?;
-        // Only the dirty sub-steps re-read reconstructed state (the
-        // clean ones assemble from memo artifacts, and analyze-time
-        // counters preseed from the recorded tail delta either way),
-        // so the tail filters down to the paths the dirty set
-        // declares — the same read-set contract the dirty cascade
-        // itself rests on. For a multi-file app this drops almost the
-        // whole tail: only the injected file's ops replay.
-        let keep = |p: &str| dirty.iter().any(|&i| memo.specs[i].reads(p));
-        let stats = cursor
-            .replay_coalesced_filtered(&**ffs.inner(), &ops[target_op + 1..], &keep)
-            .map_err(|e| e.to_string())?;
-        counters.coalesced_calls.fetch_add(stats.coalesced_calls as u64, Ordering::Relaxed);
-        counters.coalesced_ops.fetch_add(stats.coalesced_ops as u64, Ordering::Relaxed);
-        counters.skipped_tail_ops.fetch_add(stats.skipped_ops as u64, Ordering::Relaxed);
-        ffs.preseed_counters(&fork.tail_counters());
-        let mut assembled: Vec<Vec<u8>> = Vec::with_capacity(memo.specs.len());
-        let mut dirty_artifacts: Vec<(usize, Vec<u8>)> = Vec::with_capacity(dirty.len());
-        for i in 0..memo.specs.len() {
-            if dirty.contains(&i) {
-                let art = app.analyze_substep(&*ffs, i, Some(golden))?;
-                dirty_artifacts.push((i, art.clone()));
-                assembled.push(art);
-            } else {
-                assembled.push(memo.artifacts[i].as_ref().clone());
-            }
-        }
-        let out = app.assemble(&assembled, Some(golden))?;
-        Ok((out, dirty_artifacts))
-    }));
-    ffs.unmount();
-    let injection = injector.record();
-    match &result {
-        Ok(Ok((_, arts))) => memo.store.put(&run_key, &encode_memo_run(&injection, Ok(arts))),
-        Ok(Err(msg)) => memo.store.put(&run_key, &encode_memo_run(&injection, Err(msg))),
-        Err(_) => {} // Panicked runs are never memoized.
-    }
-    let app_result = match result {
-        Ok(Ok((out, _))) => Ok(Ok(out)),
-        Ok(Err(e)) => Ok(Err(e)),
-        Err(p) => Err(p),
-    };
-    Some(finish_run(app, golden, run, target_instance, injection, mode, app_result))
-}
-
 /// Open (create or resume) the configured journal and decode any
-/// journaled runs — the one implementation both campaign drivers use,
-/// so resume validation cannot drift between them. Resume with no
-/// journal file on disk starts fresh; entries whose payload fails to
-/// decode are dropped (the run re-executes) rather than trusted.
+/// journaled runs. Resume with no journal file on disk starts fresh;
+/// entries whose payload fails to decode are dropped (the run
+/// re-executes) rather than trusted.
 #[allow(clippy::type_complexity)]
 fn open_journal(
     path: Option<&std::path::Path>,
@@ -1699,9 +1555,9 @@ fn open_journal(
 
 /// Op indices of the trace's eligible writes under `target` (instance
 /// `k` is element `k-1`) — the one definition of write-site
-/// eligibility both campaign drivers index injections with. Takes the
-/// raw op stream (not a built [`TraceCheckpoints`]) so the planner
-/// can derive its fork-offset demand *before* checkpoint placement.
+/// eligibility injections are indexed with. Takes the raw op stream
+/// (not a built [`TraceCheckpoints`]) so the planner can derive its
+/// fork-offset demand *before* checkpoint placement.
 fn eligible_write_ops(ops: &[TraceOp], target: &TargetFilter) -> Vec<usize> {
     ops.iter()
         .enumerate()
@@ -1710,17 +1566,16 @@ fn eligible_write_ops(ops: &[TraceOp], target: &TargetFilter) -> Vec<usize> {
         .collect()
 }
 
-/// The campaign's prepared replay fast path: the checkpointed golden
-/// trace plus the op index of every eligible write (instance `k` is
-/// `eligible_ops[k-1]`). The checkpoint cache sits behind an `Arc` so
-/// a [`MixedCampaign`] can share one cache across all its write-site
-/// shards.
+/// A write-site shard's prepared replay fast path: the checkpointed
+/// golden trace (shared behind an `Arc` by every write-site shard)
+/// plus the op index of every eligible write (instance `k` is
+/// `eligible_ops[k-1]`).
 struct ReplayPlan {
     cache: Arc<TraceCheckpoints>,
     eligible_ops: Vec<usize>,
     /// Engaged analyze memoization basis (engine law 8). When present,
-    /// the replay arm re-computes only the sub-steps that declare the
-    /// injected op's path as an input and assembles the rest from the
+    /// replay runs re-compute only the sub-steps that declare the
+    /// injected op's path as an input and assemble the rest from the
     /// memo store. The per-run strategy, mode, and plan fingerprint
     /// stay `Replay` — memoization is a pure analyze-side substitution
     /// on the write-site path.
@@ -1728,12 +1583,16 @@ struct ReplayPlan {
 }
 
 impl ReplayPlan {
-    /// Resolve the planned strategy for one target instance: the
-    /// nearest checkpoint preceding its trace op, and the suffix
-    /// length the run will replay from there (the scheduler's cost
-    /// key).
-    fn strategy_for(&self, target_instance: u64) -> RunStrategy {
-        let target_op = self.eligible_ops[(target_instance - 1) as usize];
+    /// The trace op a run's target instance lands on.
+    fn target_op(&self, spec: &InjectionSpec) -> usize {
+        self.eligible_ops[(spec.target_instance - 1) as usize]
+    }
+
+    /// Resolve the planned strategy for one run: the nearest
+    /// checkpoint preceding its target op, and the suffix length the
+    /// run will replay from there (the scheduler's cost key).
+    fn strategy_for(&self, spec: &InjectionSpec) -> RunStrategy {
+        let target_op = self.target_op(spec);
         let points = self.cache.points();
         let checkpoint = points.partition_point(|p| p.index() <= target_op).saturating_sub(1);
         let suffix_len = self.cache.ops().len() - points[checkpoint].index();
@@ -1745,8 +1604,8 @@ impl ReplayPlan {
 /// path: the golden post-produce filesystem (read-only analyze means
 /// the golden run's *final* state is byte-identical to its
 /// post-produce state) and the phase-boundary counter snapshot every
-/// analyze-only mount pre-seeds. Shards of a [`MixedCampaign`] share
-/// one basis behind `Arc`s; the per-signature phase split lives in
+/// analyze-only mount pre-seeds. Read-site shards share one basis
+/// behind `Arc`s; the per-signature phase split lives in
 /// [`AnalyzeOnlyPlan`].
 #[derive(Clone)]
 struct AnalyzeOnlyBasis {
@@ -1754,7 +1613,7 @@ struct AnalyzeOnlyBasis {
     boundary: CounterSnapshot,
 }
 
-/// A read-site campaign's prepared fast path: the shared
+/// A read-site shard's prepared fast path: the shared
 /// [`AnalyzeOnlyBasis`] plus the signature's phase seam in eligible
 /// instance space — instances `1..=produce_eligible` fire during
 /// produce (full rerun, [`ReplayFallback::ProduceReadFault`]), later
@@ -1833,6 +1692,35 @@ struct SubstepMemo {
     store: Arc<MemoStore>,
 }
 
+impl SubstepMemo {
+    /// Assemble the golden artifacts with the `dirty` `(sub-step,
+    /// artifact)` pairs swapped in. An index out of range (a corrupt
+    /// memo entry) is an error, never a panic.
+    fn assemble<A: FaultApp>(
+        &self,
+        app: &A,
+        golden: &A::Output,
+        dirty: &[(usize, Vec<u8>)],
+    ) -> Result<A::Output, String> {
+        let mut assembled: Vec<Vec<u8>> =
+            self.artifacts.iter().map(|a| a.as_ref().clone()).collect();
+        for (i, art) in dirty {
+            *assembled.get_mut(*i).ok_or("memoized run entry indexes out of range")? = art.clone();
+        }
+        app.assemble(&assembled, Some(golden))
+    }
+
+    /// The dirty set of a write to `path`: every sub-step that declares
+    /// it as an input. A write op without a path cannot be attributed,
+    /// so every sub-step is dirty (conservative, still exact).
+    fn dirty_for(&self, path: Option<&str>) -> Vec<usize> {
+        match path {
+            Some(p) => (0..self.specs.len()).filter(|&i| self.specs[i].reads(p)).collect(),
+            None => (0..self.specs.len()).collect(),
+        }
+    }
+}
+
 /// Read-site half of an engaged memo basis: the shared [`SubstepMemo`]
 /// plus, per sub-step, how many of this signature's eligible
 /// analyze-phase reads precede it and how many fall inside it.
@@ -1842,6 +1730,22 @@ struct IncrementalMemo {
 }
 
 impl IncrementalMemo {
+    /// Slice the golden analyze-phase reads by `target` along the
+    /// sub-step boundaries.
+    fn new(memo: Arc<SubstepMemo>, golden_analyze: &[ReadRecord], target: &TargetFilter) -> Self {
+        let count = |reads: &[ReadRecord]| {
+            reads.iter().filter(|r| target.matches(r.path.as_deref())).count() as u64
+        };
+        let eligible_ranges = memo
+            .read_ranges
+            .iter()
+            .map(|&(start, end)| {
+                (count(&golden_analyze[..start]), count(&golden_analyze[start..end]))
+            })
+            .collect();
+        IncrementalMemo { memo, eligible_ranges }
+    }
+
     /// Which sub-step does the 1-based eligible *analyze-phase*
     /// instance land in?
     fn substep_for(&self, analyze_instance: u64) -> Option<usize> {
@@ -1985,25 +1889,7 @@ fn encode_memo_run(
 ) -> Vec<u8> {
     let mut buf = Vec::with_capacity(128);
     buf.push(1); // entry version
-    match injection {
-        None => buf.push(0),
-        Some(i) => {
-            buf.push(1);
-            buf.push(i.primitive.index() as u8);
-            wire::put_u64(&mut buf, i.instance);
-            wire::put_u64(&mut buf, i.prim_seq);
-            wire::put_opt_str(&mut buf, i.path.as_deref());
-            match i.offset {
-                None => buf.push(0),
-                Some(o) => {
-                    buf.push(1);
-                    wire::put_u64(&mut buf, o);
-                }
-            }
-            wire::put_u64(&mut buf, i.len as u64);
-            wire::put_str(&mut buf, &i.detail);
-        }
-    }
+    put_injection(&mut buf, injection);
     match body {
         Err(msg) => {
             buf.push(0);
@@ -2027,24 +1913,7 @@ fn decode_memo_run(bytes: &[u8]) -> Option<MemoRunEntry> {
     if r.u8()? != 1 {
         return None;
     }
-    let injection = match r.u8()? {
-        0 => None,
-        1 => {
-            let primitive = *PRIMITIVES.get(r.u8()? as usize)?;
-            let instance = r.u64()?;
-            let prim_seq = r.u64()?;
-            let path = r.opt_str()?;
-            let offset = match r.u8()? {
-                0 => None,
-                1 => Some(r.u64()?),
-                _ => return None,
-            };
-            let len = r.u64()? as usize;
-            let detail = r.str()?;
-            Some(InjectionRecord { primitive, instance, prim_seq, path, offset, len, detail })
-        }
-        _ => return None,
-    };
+    let injection = take_injection(&mut r)?;
     let body = match r.u8()? {
         0 => Err(r.str()?),
         1 => {
@@ -2065,27 +1934,16 @@ fn decode_memo_run(bytes: &[u8]) -> Option<MemoRunEntry> {
     Some(MemoRunEntry { injection, body })
 }
 
-/// A campaign's prepared fast path — checkpointed trace replay for
+/// A shard's prepared fast path — checkpointed trace replay for
 /// write-site signatures, analyze-only re-execution for read-site
-/// ones. [`execute_run`] dispatches on the planned [`RunStrategy`]
-/// and reaches back into the matching plan variant.
+/// ones.
 enum CampaignPlan {
     Replay(ReplayPlan),
     AnalyzeOnly(AnalyzeOnlyPlan),
 }
 
-impl CampaignPlan {
-    fn strategy_for(&self, target_instance: u64) -> RunStrategy {
-        match self {
-            CampaignPlan::Replay(p) => p.strategy_for(target_instance),
-            CampaignPlan::AnalyzeOnly(p) => p.strategy_for(target_instance),
-        }
-    }
-}
-
 /// The one implementation of the campaign-wide **analyze-only laws** —
-/// validated once per golden run and shared by [`Campaign`] and
-/// [`MixedCampaign`] so the engagement rules cannot drift apart.
+/// validated once per golden run and shared by every read-site shard.
 /// Returns the [`ReplayFallback`] reason — never silently — when any
 /// law fails:
 ///
@@ -2175,8 +2033,7 @@ fn analyze_only_plan(
 }
 
 /// Classify one finished application result into a [`RunResult`] —
-/// shared by the single-signature and mixed campaign drivers so crash
-/// capture (messages, panic downcasts) cannot drift between them.
+/// the one place crash capture (messages, panic downcasts) lives.
 fn finish_run<A: FaultApp>(
     app: &A,
     golden: &A::Output,
@@ -2236,273 +2093,243 @@ fn finish_run<A: FaultApp>(
     }
 }
 
-/// Execute one injection run — checkpointed suffix replay when the
-/// planned strategy is `Replay`, analyze-only re-execution when it is
-/// `AnalyzeOnly`, full produce+analyze re-execution otherwise — and
-/// classify it. The single-signature [`Campaign`] and the sharded
-/// [`MixedCampaign`] both funnel through here (via the engine
-/// executor), so every strategy behaves identically across the
-/// drivers.
-#[allow(clippy::too_many_arguments)]
-fn execute_run<A: FaultApp>(
-    app: &A,
-    signature: &FaultSignature,
-    plan: Option<&CampaignPlan>,
-    strategy: RunStrategy,
-    golden: &A::Output,
-    run: usize,
-    target_instance: u64,
-    seed: u64,
-    liveness: Liveness,
-) -> RunResult {
-    let mode = strategy.mode();
-    match (strategy, plan) {
-        // Write-site fast path: fork the planner-chosen checkpoint
-        // (the nearest one preceding the target instance), replay only
-        // the trace suffix through the armed injector (the fault lands
-        // in the same instance, with the same record numbering, it
-        // would during a real execution), then analyze.
-        (RunStrategy::Replay { checkpoint, .. }, Some(CampaignPlan::Replay(plan))) => {
-            if let Some(memo) = &plan.memo {
-                // The memo gate refuses to engage while a liveness
-                // watchdog is armed, so the memoized arm never arms
-                // one.
-                return execute_replay_memoized(
-                    app,
-                    signature,
-                    plan,
-                    memo,
-                    checkpoint,
-                    golden,
-                    run,
-                    target_instance,
-                    seed,
-                );
+/// Stage 1 of a run: where its filesystem state comes from.
+enum Source<'p> {
+    /// A fresh empty mount; produce re-executes live (the full-rerun
+    /// reference path).
+    Fresh,
+    /// A fork of the golden post-produce state with a counter snapshot
+    /// pre-seeded, so the armed crossing observes full-execution
+    /// `prim_seq`/`seq` numbering.
+    Golden(&'p MemFs, CounterSnapshot),
+    /// A fork of the planned trace checkpoint.
+    Checkpoint(&'p TraceCheckpoint),
+    /// A batch mini-fork sitting exactly at the target op.
+    Mini(&'p BatchFork),
+}
+
+/// Stage 2 of a run: the recorded ops that reach the forked state
+/// before analyze.
+enum Tail<'p> {
+    /// None: the source state already is the analyze input.
+    None,
+    /// Op by op through the mount, so the armed injector and any
+    /// watchdog see every crossing.
+    Mount(&'p [TraceOp]),
+    /// The target op (`ops[0]`) through the mount, the rest straight to
+    /// the mount's inner filesystem with sequential writes coalesced —
+    /// filtered down to the dirty sub-steps' inputs when the analyze
+    /// stage is the cascade — then the tail's counter delta pre-seeded.
+    OffMount(&'p [TraceOp], CounterSnapshot),
+}
+
+/// Stage 3 of a run: how its output is computed.
+enum Analyze<'p> {
+    /// The application's whole analyze phase.
+    Full,
+    /// The dirty cascade (engine law 8): re-run only the listed
+    /// sub-steps live and assemble the rest from the memo store.
+    Cascade(&'p SubstepMemo, Vec<usize>),
+}
+
+/// The three stages one run executes, plus how many eligible
+/// instances its source already passed.
+struct Stages<'p> {
+    source: Source<'p>,
+    tail: Tail<'p>,
+    analyze: Analyze<'p>,
+    already_seen: u64,
+}
+
+/// Pick the stages a run's planned strategy executes. A fast strategy
+/// without its matching plan cannot be planned (the strategies are
+/// derived from the plan itself); it would fall to the reference path.
+fn stages<'p>(
+    shard: &'p Shard,
+    pr: &PlannedRun<InjectionSpec>,
+    batch: Option<&'p BatchForks>,
+) -> Stages<'p> {
+    let target = pr.spec.target_instance;
+    match (pr.strategy, &shard.plan) {
+        // Write-site fast path: fork the planner-chosen checkpoint (the
+        // nearest one preceding the target instance) and replay the
+        // trace suffix through the armed injector — the fault lands in
+        // the same instance, with the same record numbering, it would
+        // during a real execution. In a batch, fork the target's
+        // mini-checkpoint instead: only the target op needs the mount.
+        (RunStrategy::Replay { checkpoint, .. }, Ok(CampaignPlan::Replay(rp))) => {
+            let target_op = rp.target_op(&pr.spec);
+            let ops = rp.cache.ops();
+            let analyze = match &rp.memo {
+                Some(memo) => Analyze::Cascade(memo, memo.dirty_for(ops[target_op].write_path())),
+                None => Analyze::Full,
+            };
+            match batch.and_then(|b| b.for_target(target_op)) {
+                Some(fork) => Stages {
+                    source: Source::Mini(fork),
+                    tail: Tail::OffMount(&ops[target_op..], fork.tail_counters()),
+                    analyze,
+                    already_seen: target - 1,
+                },
+                None => {
+                    let point = &rp.cache.points()[checkpoint];
+                    let already_seen =
+                        rp.eligible_ops.partition_point(|&op| op < point.index()) as u64;
+                    Stages {
+                        source: Source::Checkpoint(point),
+                        tail: Tail::Mount(rp.cache.suffix(point)),
+                        analyze,
+                        already_seen,
+                    }
+                }
             }
-            let point = &plan.cache.points()[checkpoint];
-            let already_seen = plan.eligible_ops.partition_point(|&op| op < point.index()) as u64;
-            let injector = Arc::new(ArmedInjector::resuming(
-                signature.clone(),
-                target_instance,
-                seed,
-                already_seen,
-            ));
-            let (ffs, mut cursor) = point.mount_fork();
-            liveness.arm(&ffs);
-            ffs.attach(injector.clone());
-            let app_result = catch_unwind(AssertUnwindSafe(|| -> Result<A::Output, String> {
-                cursor.replay(&*ffs, plan.cache.suffix(point)).map_err(|e| e.to_string())?;
-                app.analyze(&*ffs, Some(golden))
-            }));
-            ffs.unmount();
-            finish_run(app, golden, run, target_instance, injector.record(), mode, app_result)
         }
         // Read-site fast path: the golden post-produce state *is* the
-        // checkpoint. Fork it, pre-seed the phase-boundary counters
-        // (so the armed crossing observes full-execution
-        // `prim_seq`/`seq` numbering), arm the injector with the
-        // produce-phase eligible reads already "seen", and run only
-        // analyze — live, so the transfer the fault corrupts actually
-        // exists.
-        (RunStrategy::AnalyzeOnly, Some(CampaignPlan::AnalyzeOnly(plan))) => {
-            let injector = Arc::new(ArmedInjector::resuming(
-                signature.clone(),
-                target_instance,
-                seed,
-                plan.produce_eligible,
-            ));
-            let ffs = FfisFs::mount(Arc::new(plan.basis.base.fork()));
-            liveness.arm(&ffs);
-            ffs.preseed_counters(&plan.basis.boundary);
-            ffs.attach(injector.clone());
-            let app_result = catch_unwind(AssertUnwindSafe(|| app.analyze(&*ffs, Some(golden))));
-            ffs.unmount();
-            finish_run(app, golden, run, target_instance, injector.record(), mode, app_result)
-        }
-        // Incremental-analyze fast path (engine law 8): the fault can
-        // only perturb reads inside one sub-step's declared input set,
-        // so re-execute exactly that sub-step live — pre-seeded with
-        // its start-of-sub-step counters so the armed crossing
-        // observes full-execution numbering — and assemble every clean
-        // artifact from the memo store.
-        (RunStrategy::IncrementalAnalyze { .. }, Some(CampaignPlan::AnalyzeOnly(plan)))
-            if plan.memo.is_some() =>
-        {
-            let ia = plan.memo.as_ref().expect("guarded by match arm");
-            execute_incremental_analyze(
-                app,
-                signature,
-                plan,
-                ia,
-                golden,
-                run,
-                target_instance,
-                seed,
-            )
-        }
-        // Reference path: full application re-execution. (A fast
-        // strategy without its matching plan cannot be planned — the
-        // strategies are derived from the plan itself.)
+        // checkpoint. Fork it with the phase-boundary counters, arm the
+        // injector with the produce-phase eligible reads already
+        // "seen", and run only analyze — live, so the transfer the
+        // fault corrupts actually exists.
+        (RunStrategy::AnalyzeOnly, Ok(CampaignPlan::AnalyzeOnly(ap))) => Stages {
+            source: Source::Golden(&ap.basis.base, ap.basis.boundary),
+            tail: Tail::None,
+            analyze: Analyze::Full,
+            already_seen: ap.produce_eligible,
+        },
+        // Incremental analyze: a read fault can only perturb reads
+        // inside one sub-step, so re-execute exactly that sub-step —
+        // pre-seeded with its start-of-sub-step counters — and
+        // assemble every clean artifact from the memo store.
         (
-            RunStrategy::Replay { .. }
-            | RunStrategy::AnalyzeOnly
-            | RunStrategy::IncrementalAnalyze { .. },
-            _,
-        )
-        | (RunStrategy::Rerun { .. }, _) => {
-            let injector = Arc::new(ArmedInjector::new(signature.clone(), target_instance, seed));
-            let ffs = FfisFs::mount(Arc::new(MemFs::new()));
-            liveness.arm(&ffs);
-            ffs.attach(injector.clone());
-            let app_result = catch_unwind(AssertUnwindSafe(|| {
-                app.produce(&*ffs)?;
-                app.analyze(&*ffs, Some(golden))
-            }));
-            ffs.unmount();
-            finish_run(app, golden, run, target_instance, injector.record(), mode, app_result)
-        }
-    }
-}
-
-/// A memoized run's live half: the assembled output plus the dirty
-/// `(sub-step index, artifact)` pairs worth caching.
-type MemoRunOutput<A> = Result<(<A as FaultApp>::Output, Vec<(usize, Vec<u8>)>), String>;
-
-/// Write-site memoized analyze: checkpointed suffix replay as usual,
-/// then re-compute only the sub-steps that declare the injected op's
-/// path as an input (the dirty cascade — a write fault perturbs
-/// exactly the file the op targets), assembling the rest from the
-/// memo store. Non-panicked results are memoized at run granularity,
-/// so a warm store replays the whole run without mounting anything.
-#[allow(clippy::too_many_arguments)]
-fn execute_replay_memoized<A: FaultApp>(
-    app: &A,
-    signature: &FaultSignature,
-    plan: &ReplayPlan,
-    memo: &SubstepMemo,
-    checkpoint: usize,
-    golden: &A::Output,
-    run: usize,
-    target_instance: u64,
-    seed: u64,
-) -> RunResult {
-    let mode = ExecutionMode::Replay;
-    let target_op = plan.eligible_ops[(target_instance - 1) as usize];
-    let dirty: Vec<usize> = match plan.cache.ops()[target_op].write_path() {
-        Some(p) => {
-            memo.specs.iter().enumerate().filter(|(_, s)| s.reads(p)).map(|(i, _)| i).collect()
-        }
-        // A write op without a path cannot be attributed; treat every
-        // sub-step as dirty (conservative, still exact).
-        None => (0..memo.specs.len()).collect(),
-    };
-    memo.store.note_hits((memo.specs.len() - dirty.len()) as u64);
-    memo.store.note_invalidations(dirty.len() as u64);
-    let run_key = memo_run_key(memo.golden_key, signature, target_instance, seed);
-    if let Some(bytes) = memo.store.get(&run_key) {
-        if let Some(entry) = decode_memo_run(&bytes) {
-            return finish_memo_run(app, memo, golden, run, target_instance, mode, entry);
-        }
-    }
-    let point = &plan.cache.points()[checkpoint];
-    let already_seen = plan.eligible_ops.partition_point(|&op| op < point.index()) as u64;
-    let injector =
-        Arc::new(ArmedInjector::resuming(signature.clone(), target_instance, seed, already_seen));
-    let (ffs, mut cursor) = point.mount_fork();
-    ffs.attach(injector.clone());
-    let result = catch_unwind(AssertUnwindSafe(|| -> MemoRunOutput<A> {
-        cursor.replay(&*ffs, plan.cache.suffix(point)).map_err(|e| e.to_string())?;
-        let mut assembled: Vec<Vec<u8>> = Vec::with_capacity(memo.specs.len());
-        let mut dirty_artifacts: Vec<(usize, Vec<u8>)> = Vec::with_capacity(dirty.len());
-        for i in 0..memo.specs.len() {
-            if dirty.contains(&i) {
-                let art = app.analyze_substep(&*ffs, i, Some(golden))?;
-                dirty_artifacts.push((i, art.clone()));
-                assembled.push(art);
-            } else {
-                assembled.push(memo.artifacts[i].as_ref().clone());
+            RunStrategy::IncrementalAnalyze { .. },
+            Ok(CampaignPlan::AnalyzeOnly(AnalyzeOnlyPlan {
+                basis,
+                produce_eligible,
+                memo: Some(ia),
+                ..
+            })),
+        ) => {
+            let d = ia
+                .substep_for(target - produce_eligible)
+                .expect("IncrementalAnalyze is only planned for in-range instances");
+            Stages {
+                source: Source::Golden(&basis.base, ia.memo.counters[d]),
+                tail: Tail::None,
+                analyze: Analyze::Cascade(&ia.memo, vec![d]),
+                already_seen: produce_eligible + ia.eligible_ranges[d].0,
             }
         }
-        let out = app.assemble(&assembled, Some(golden))?;
-        Ok((out, dirty_artifacts))
-    }));
-    ffs.unmount();
-    let injection = injector.record();
-    match &result {
-        Ok(Ok((_, arts))) => memo.store.put(&run_key, &encode_memo_run(&injection, Ok(arts))),
-        Ok(Err(msg)) => memo.store.put(&run_key, &encode_memo_run(&injection, Err(msg))),
-        Err(_) => {} // Panicked runs are never memoized.
+        // Reference path: full application re-execution.
+        _ => Stages {
+            source: Source::Fresh,
+            tail: Tail::None,
+            analyze: Analyze::Full,
+            already_seen: 0,
+        },
     }
-    let app_result = match result {
-        Ok(Ok((out, _))) => Ok(Ok(out)),
-        Ok(Err(e)) => Ok(Err(e)),
-        Err(p) => Err(p),
-    };
-    finish_run(app, golden, run, target_instance, injection, mode, app_result)
 }
 
-/// Read-site memoized analyze ([`RunStrategy::IncrementalAnalyze`]):
-/// fork the golden post-produce state, pre-seed the dirty sub-step's
-/// start-of-sub-step counters, arm the injector with every earlier
-/// eligible read already "seen", run exactly that sub-step live, and
-/// assemble with the clean golden artifacts. Read faults never touch
-/// device state, so downstream sub-steps are provably clean.
-#[allow(clippy::too_many_arguments)]
-fn execute_incremental_analyze<A: FaultApp>(
+/// A run's live half: the output plus the dirty `(sub-step index,
+/// artifact)` pairs worth caching (none for a whole analyze).
+type MemoRunOutput<A> = Result<(<A as FaultApp>::Output, Vec<(usize, Vec<u8>)>), String>;
+
+/// Execute one injection run — the one function every run of every
+/// campaign goes through — and classify it. The planned strategy picks
+/// the stages ([`stages`]); a cascade run first consults the run-level
+/// memo, whose entry serves the whole run without mounting anything,
+/// and stores its own result afterwards (panicked runs are never
+/// memoized).
+fn execute_run<A: FaultApp>(
     app: &A,
-    signature: &FaultSignature,
-    plan: &AnalyzeOnlyPlan,
-    ia: &IncrementalMemo,
+    shard: &Shard,
     golden: &A::Output,
-    run: usize,
-    target_instance: u64,
-    seed: u64,
+    pr: &PlannedRun<InjectionSpec>,
+    batch: Option<&BatchForks>,
+    liveness: Liveness,
+    counters: &ReplayOptCounters,
 ) -> RunResult {
-    let mode = ExecutionMode::IncrementalAnalyze;
-    let memo = &ia.memo;
-    let analyze_instance = target_instance - plan.produce_eligible;
-    let d = ia
-        .substep_for(analyze_instance)
-        .expect("IncrementalAnalyze is only planned for in-range instances");
-    memo.store.note_hits((memo.specs.len() - 1) as u64);
-    memo.store.note_invalidations(1);
-    let run_key = memo_run_key(memo.golden_key, signature, target_instance, seed);
-    if let Some(bytes) = memo.store.get(&run_key) {
-        if let Some(entry) = decode_memo_run(&bytes) {
-            return finish_memo_run(app, memo, golden, run, target_instance, mode, entry);
+    let (run, target, seed) = (pr.index, pr.spec.target_instance, pr.spec.seed);
+    let mode = pr.strategy.mode();
+    let Stages { source, tail, analyze, already_seen } = stages(shard, pr, batch);
+    let memo_entry = match &analyze {
+        Analyze::Full => None,
+        Analyze::Cascade(memo, dirty) => {
+            memo.store.note_hits((memo.specs.len() - dirty.len()) as u64);
+            memo.store.note_invalidations(dirty.len() as u64);
+            let key = memo_run_key(memo.golden_key, &shard.signature, target, seed);
+            if let Some(entry) = memo.store.get(&key).and_then(|bytes| decode_memo_run(&bytes)) {
+                return finish_memo_run(app, memo, golden, run, target, mode, entry);
+            }
+            Some((*memo, key))
         }
+    };
+    if let Source::Mini(_) = source {
+        counters.batched_runs.fetch_add(1, Ordering::Relaxed);
     }
-    let (before, _) = ia.eligible_ranges[d];
-    let injector = Arc::new(ArmedInjector::resuming(
-        signature.clone(),
-        target_instance,
-        seed,
-        plan.produce_eligible + before,
-    ));
-    let ffs = FfisFs::mount(Arc::new(plan.basis.base.fork()));
-    ffs.preseed_counters(&memo.counters[d]);
+    let injector =
+        Arc::new(ArmedInjector::resuming(shard.signature.clone(), target, seed, already_seen));
+    let (ffs, mut cursor) = match &source {
+        Source::Fresh => (FfisFs::mount(Arc::new(MemFs::new())), ReplayCursor::new()),
+        Source::Golden(base, snapshot) => {
+            let ffs = FfisFs::mount(Arc::new(base.fork()));
+            ffs.preseed_counters(snapshot);
+            (ffs, ReplayCursor::new())
+        }
+        Source::Checkpoint(point) => point.mount_fork(),
+        Source::Mini(fork) => fork.point().mount_fork(),
+    };
+    liveness.arm(&ffs);
     ffs.attach(injector.clone());
     let result = catch_unwind(AssertUnwindSafe(|| -> MemoRunOutput<A> {
-        let art = app.analyze_substep(&*ffs, d, Some(golden))?;
-        let mut assembled: Vec<Vec<u8>> =
-            memo.artifacts.iter().map(|a| a.as_ref().clone()).collect();
-        assembled[d] = art.clone();
-        let out = app.assemble(&assembled, Some(golden))?;
-        Ok((out, vec![(d, art)]))
+        if let Source::Fresh = source {
+            app.produce(&*ffs)?;
+        }
+        match tail {
+            Tail::None => {}
+            Tail::Mount(ops) => cursor.replay(&*ffs, ops).map_err(|e| e.to_string())?,
+            Tail::OffMount(ops, tail_counters) => {
+                // The fault fires (or deliberately drops its write) on
+                // the target op; nothing needs per-op visibility after
+                // it, so the rest skips the mount.
+                cursor.step(&*ffs, &ops[0]).map_err(|e| e.to_string())?;
+                let inner = &**ffs.inner();
+                let stats = match &analyze {
+                    Analyze::Full => cursor.replay_coalesced(inner, &ops[1..]),
+                    // Only the dirty sub-steps re-read reconstructed
+                    // state, so the tail keeps just the paths they
+                    // declare — the read-set contract the cascade
+                    // itself rests on.
+                    Analyze::Cascade(memo, dirty) => {
+                        let keep = |p: &str| dirty.iter().any(|&i| memo.specs[i].reads(p));
+                        cursor.replay_coalesced_filtered(inner, &ops[1..], &keep)
+                    }
+                }
+                .map_err(|e| e.to_string())?;
+                counters.note_tail(&stats);
+                ffs.preseed_counters(&tail_counters);
+            }
+        }
+        match &analyze {
+            Analyze::Full => Ok((app.analyze(&*ffs, Some(golden))?, Vec::new())),
+            Analyze::Cascade(memo, dirty) => {
+                let mut arts = Vec::with_capacity(dirty.len());
+                for &i in dirty {
+                    arts.push((i, app.analyze_substep(&*ffs, i, Some(golden))?));
+                }
+                Ok((memo.assemble(app, golden, &arts)?, arts))
+            }
+        }
     }));
     ffs.unmount();
     let injection = injector.record();
-    match &result {
-        Ok(Ok((_, arts))) => memo.store.put(&run_key, &encode_memo_run(&injection, Ok(arts))),
-        Ok(Err(msg)) => memo.store.put(&run_key, &encode_memo_run(&injection, Err(msg))),
-        Err(_) => {} // Panicked runs are never memoized.
+    if let Some((memo, key)) = &memo_entry {
+        match &result {
+            Ok(Ok((_, arts))) => memo.store.put(key, &encode_memo_run(&injection, Ok(arts))),
+            Ok(Err(msg)) => memo.store.put(key, &encode_memo_run(&injection, Err(msg))),
+            Err(_) => {}
+        }
     }
-    let app_result = match result {
-        Ok(Ok((out, _))) => Ok(Ok(out)),
-        Ok(Err(e)) => Ok(Err(e)),
-        Err(p) => Err(p),
-    };
-    finish_run(app, golden, run, target_instance, injection, mode, app_result)
+    let app_result = result.map(|r| r.map(|(out, _)| out));
+    finish_run(app, golden, run, target, injection, mode, app_result)
 }
 
 /// Classify a run served whole from the run-level memo store: rebuild
@@ -2520,202 +2347,8 @@ fn finish_memo_run<A: FaultApp>(
     entry: MemoRunEntry,
 ) -> RunResult {
     let MemoRunEntry { injection, body } = entry;
-    let app_result: Result<A::Output, String> = match body {
-        Err(msg) => Err(msg),
-        Ok(dirty_artifacts) => {
-            let mut assembled: Vec<Vec<u8>> =
-                memo.artifacts.iter().map(|a| a.as_ref().clone()).collect();
-            let mut in_range = true;
-            for (i, a) in dirty_artifacts {
-                if i < assembled.len() {
-                    assembled[i] = a;
-                } else {
-                    in_range = false;
-                }
-            }
-            if in_range {
-                app.assemble(&assembled, Some(golden))
-            } else {
-                Err("memoized run entry indexes out of range".to_string())
-            }
-        }
-    };
+    let app_result = body.and_then(|arts| memo.assemble(app, golden, &arts));
     finish_run(app, golden, run, target_instance, injection, mode, Ok(app_result))
-}
-
-/// Configuration for a [`MixedCampaign`]: several fault signatures —
-/// typically read-site and write-site variants of the same models —
-/// sharing one golden run and one interleaved, seed-deterministic run
-/// schedule.
-#[derive(Debug, Clone)]
-pub struct MixedCampaignConfig {
-    /// The shard signatures. Global run `i` belongs to shard
-    /// `i % signatures.len()` (round-robin), so replay-backed
-    /// write-site runs and rerun-backed read-site runs interleave
-    /// deterministically in run order.
-    pub signatures: Vec<FaultSignature>,
-    /// Total runs across all shards.
-    pub runs: usize,
-    /// Root seed. Shard `s` owns the independent stream
-    /// `root.child(s)`, and its `j`-th run draws from
-    /// `root.child(s).child(j)` — per-shard RNG streams, so a shard's
-    /// instance choices depend only on the root seed and its own run
-    /// schedule, never on sibling shards, scheduling order, or
-    /// [`MixedCampaignConfig::parallel`].
-    pub seed: u64,
-    /// Fan runs out across the rayon thread pool.
-    pub parallel: bool,
-    /// Fast paths for the shards: golden-trace replay for write-site
-    /// shards, analyze-only re-execution for read-site shards whose
-    /// targets fire during analyze. Produce-phase read targets always
-    /// take the full-rerun path with
-    /// [`ReplayFallback::ProduceReadFault`] recorded.
-    pub replay: bool,
-    /// Plan-aware replay optimizations for the write-site shards (see
-    /// [`CampaignConfig::replay_opt`]): demand-driven checkpoint
-    /// placement over the union of all write shards' fork offsets,
-    /// checkpoint-grouped batch execution keyed per `(shard,
-    /// checkpoint)`, and coalesced off-mount suffix application.
-    /// Disengages while a liveness watchdog is armed.
-    pub replay_opt: bool,
-    /// Retain at most this many full [`RunResult`]s (see
-    /// [`CampaignConfig::keep_runs`]); shard tallies always cover
-    /// every run.
-    pub keep_runs: Option<usize>,
-    /// Shared [`CheckpointStore`] (see
-    /// [`CampaignConfig::checkpoints`]).
-    pub checkpoints: Option<Arc<CheckpointStore>>,
-    /// Journal completed runs to this path (see
-    /// [`CampaignConfig::journal`]).
-    pub journal: Option<PathBuf>,
-    /// Resume from an existing journal (see
-    /// [`CampaignConfig::resume`]).
-    pub resume: bool,
-    /// Cooperative cancellation token (see [`CampaignConfig::cancel`]).
-    pub cancel: Option<Arc<CancelToken>>,
-    /// Per-run I/O-op fuel budget (see [`CampaignConfig::fuel`]).
-    pub fuel: Option<u64>,
-    /// Per-run wall-clock backstop (see
-    /// [`CampaignConfig::wall_limit`]).
-    pub wall_limit: Option<Duration>,
-    /// Live run-event observer (see [`CampaignConfig::observer`]).
-    pub observer: Option<RunObserver>,
-    /// Execute only a plan-index range (see
-    /// [`CampaignConfig::index_range`]): this process's shard of a
-    /// distributed fan-out.
-    pub index_range: Option<(usize, usize)>,
-}
-
-impl MixedCampaignConfig {
-    /// Config with paper defaults (1,000 total runs, parallel, replay
-    /// on for write-site shards).
-    pub fn new(signatures: Vec<FaultSignature>) -> Self {
-        MixedCampaignConfig {
-            signatures,
-            runs: 1000,
-            seed: 0xFF15_0002,
-            parallel: true,
-            replay: replay_default(),
-            replay_opt: replay_opt_default(),
-            keep_runs: None,
-            checkpoints: None,
-            journal: None,
-            resume: false,
-            cancel: None,
-            fuel: None,
-            wall_limit: None,
-            observer: None,
-            index_range: None,
-        }
-    }
-
-    /// Override the total run count.
-    pub fn with_runs(mut self, runs: usize) -> Self {
-        self.runs = runs;
-        self
-    }
-
-    /// Override the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Execute only a plan-index range (see
-    /// [`CampaignConfig::index_range`]).
-    pub fn with_index_range(mut self, range: Option<(usize, usize)>) -> Self {
-        self.index_range = range;
-        self
-    }
-
-    /// Enable or disable the write-site replay fast path.
-    pub fn with_replay(mut self, replay: bool) -> Self {
-        self.replay = replay;
-        self
-    }
-
-    /// Enable or disable the plan-aware replay optimizations (see
-    /// [`MixedCampaignConfig::replay_opt`]).
-    pub fn with_replay_opt(mut self, replay_opt: bool) -> Self {
-        self.replay_opt = replay_opt;
-        self
-    }
-
-    /// Bound the retained per-run records (see
-    /// [`CampaignConfig::keep_runs`]).
-    pub fn with_keep_runs(mut self, keep_runs: Option<usize>) -> Self {
-        self.keep_runs = keep_runs;
-        self
-    }
-
-    /// Share a [`CheckpointStore`] across campaigns (see
-    /// [`CampaignConfig::checkpoints`]).
-    pub fn with_checkpoints(mut self, store: Arc<CheckpointStore>) -> Self {
-        self.checkpoints = Some(store);
-        self
-    }
-
-    /// Journal completed runs to `path` (see
-    /// [`CampaignConfig::journal`]).
-    pub fn with_journal(mut self, path: impl Into<PathBuf>) -> Self {
-        self.journal = Some(path.into());
-        self
-    }
-
-    /// Resume from an existing journal (see
-    /// [`CampaignConfig::resume`]).
-    pub fn with_resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
-        self
-    }
-
-    /// Attach a cooperative cancellation token (see
-    /// [`CampaignConfig::cancel`]).
-    pub fn with_cancel(mut self, cancel: Arc<CancelToken>) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// Arm the per-run I/O-op fuel watchdog (see
-    /// [`CampaignConfig::fuel`]).
-    pub fn with_fuel(mut self, budget: u64) -> Self {
-        self.fuel = Some(budget);
-        self
-    }
-
-    /// Arm the per-run wall-clock backstop (see
-    /// [`CampaignConfig::wall_limit`]).
-    pub fn with_wall_limit(mut self, limit: Duration) -> Self {
-        self.wall_limit = Some(limit);
-        self
-    }
-
-    /// Attach a live run-event observer (see
-    /// [`CampaignConfig::observer`]).
-    pub fn with_observer(mut self, observer: RunObserver) -> Self {
-        self.observer = Some(observer);
-        self
-    }
 }
 
 /// Per-shard summary of a [`MixedCampaignResult`].
@@ -2739,7 +2372,7 @@ pub struct MixedCampaignResult {
     /// always covers every executed run.
     pub tally: OutcomeTally,
     /// Retained per-run results in global run order (all runs unless
-    /// [`MixedCampaignConfig::keep_runs`] bounded the reservoir);
+    /// [`CampaignConfig::keep_runs`] bounded the reservoir);
     /// [`RunResult::mode`] tells which strategy produced each run.
     pub runs: Vec<RunResult>,
     /// The shared fault-free profile.
@@ -2756,6 +2389,12 @@ pub struct MixedCampaignResult {
     pub executed: usize,
     /// Runs replayed from the journal at cost 0.
     pub resumed: usize,
+    /// What the analyze memoization layer did (see
+    /// [`CampaignResult::memo`]); one gate serves every shard.
+    pub memo: MemoReport,
+    /// What the plan-aware replay optimizations did across the
+    /// write-site shards (see [`CampaignResult::replay_opt`]).
+    pub replay_opt: ReplayOptReport,
 }
 
 impl MixedCampaignResult {
@@ -2772,11 +2411,9 @@ impl MixedCampaignResult {
     }
 }
 
-/// The one implementation of the campaign-wide replay laws — called
-/// by [`Campaign::run`]'s `replay_plan` and checked once per
-/// [`MixedCampaign`] golden trace, so the engagement rules cannot
-/// drift between the drivers. Returns the [`ReplayFallback`] reason —
-/// never silently — when any law fails:
+/// The one implementation of the campaign-wide replay laws, checked
+/// once per golden trace for every write-site shard. Returns the
+/// [`ReplayFallback`] reason — never silently — when any law fails:
 ///
 /// * the analyze phase must not have written during the golden run
 ///   (the recorded op stream would double-apply those writes);
@@ -2789,8 +2426,8 @@ impl MixedCampaignResult {
 /// * an uninjected full replay must rebuild state that analyzes
 ///   benign (the fidelity self-check).
 ///
-/// Per-signature eligible-write numbering is validated separately by
-/// each caller against its target filter ([`eligible_write_ops`]).
+/// Per-signature eligible-write numbering is validated separately per
+/// shard against its target filter ([`eligible_write_ops`]).
 #[allow(clippy::too_many_arguments)]
 fn shared_replay_cache<A: FaultApp>(
     app: &A,
@@ -2847,25 +2484,46 @@ fn shared_replay_cache<A: FaultApp>(
     Ok(cache)
 }
 
-/// One prepared shard of a mixed campaign.
+/// One prepared shard: its signature, its eligible population on the
+/// golden run, and either its fast-path plan or the reason it reruns.
 struct Shard {
     signature: FaultSignature,
     eligible: u64,
-    mode: ExecutionMode,
-    plan: Option<CampaignPlan>,
+    plan: Result<CampaignPlan, ReplayFallback>,
+}
+
+impl Shard {
+    /// The campaign-level [`ExecutionMode`] the shard's plan implies.
+    fn mode(&self) -> ExecutionMode {
+        match &self.plan {
+            Ok(CampaignPlan::Replay(_)) => ExecutionMode::Replay,
+            Ok(CampaignPlan::AnalyzeOnly(p)) => p.campaign_mode(),
+            Err(reason) => ExecutionMode::FullRerun { reason: *reason },
+        }
+    }
+
+    /// Resolve the planned strategy for one run of this shard.
+    fn strategy_for(&self, spec: &InjectionSpec) -> RunStrategy {
+        match &self.plan {
+            Ok(CampaignPlan::Replay(p)) => p.strategy_for(spec),
+            Ok(CampaignPlan::AnalyzeOnly(p)) => p.strategy_for(spec.target_instance),
+            Err(reason) => RunStrategy::Rerun { reason: *reason },
+        }
+    }
 }
 
 /// Campaign driver interleaving several fault signatures over one
 /// golden run — the engine behind mixed read+write characterization.
 ///
-/// Write-site shards ride the checkpointed golden-trace replay exactly
-/// like a single-signature [`Campaign`]; read-site shards take the
-/// analyze-only fast path for analyze-phase targets and the full-rerun
-/// path (recording [`ReplayFallback::ProduceReadFault`]) for
-/// produce-phase ones, and the round-robin schedule interleaves the
-/// strategies deterministically: rerunning the same config — serial or
-/// parallel — reproduces every outcome, per-run [`ExecutionMode`], and
-/// instance choice.
+/// Each shard takes the strategy a single-signature [`Campaign`] over
+/// its signature would: write-site shards ride the checkpointed
+/// golden-trace replay, read-site shards take the analyze-only fast
+/// path for analyze-phase targets and the full-rerun path (recording
+/// [`ReplayFallback::ProduceReadFault`]) for produce-phase ones, and
+/// either memoizes when the workload declares analyze sub-steps. The
+/// round-robin schedule interleaves the strategies deterministically:
+/// rerunning the same config — serial or parallel — reproduces every
+/// outcome, per-run [`ExecutionMode`], and instance choice.
 pub struct MixedCampaign<'a, A: FaultApp> {
     app: &'a A,
     config: MixedCampaignConfig,
@@ -2877,351 +2535,24 @@ impl<'a, A: FaultApp> MixedCampaign<'a, A> {
         MixedCampaign { app, config }
     }
 
-    /// Execute the whole workflow.
+    /// Execute the whole workflow: the shared driver over every shard,
+    /// with run `i` of shard `i % k` drawing from
+    /// `root.child(i % k).child(i / k)`.
     pub fn run(&self) -> Result<MixedCampaignResult, CampaignError> {
-        let k = self.config.signatures.len();
+        let k = self.config.signature.len();
         if k == 0 {
             return Err(CampaignError::BadSignature(
                 "mixed campaign needs at least one signature".into(),
             ));
         }
-        for sig in &self.config.signatures {
-            sig.validate().map_err(CampaignError::BadSignature)?;
-        }
-
-        // One shared golden/profiling run. The trace interceptor
-        // records every primitive crossing, so each shard's eligible
-        // population is derived from the same execution; the op
-        // recorder is attached when any shard can use a fast path
-        // (write shards need the trace to replay, read shards need it
-        // for the read-only-analyze law), and the read ledger when
-        // some read-site shard may qualify for analyze-only
-        // re-execution.
-        let wants_write_fast = self.config.replay
-            && self.config.signatures.iter().any(|s| s.primitive == Primitive::Write);
-        let wants_read_fast = self.config.replay
-            && self.config.signatures.iter().any(|s| s.primitive == Primitive::Read);
-        let record = wants_write_fast || wants_read_fast;
-        let profiler = IoProfiler::new(Primitive::Write, TargetFilter::Any);
-        let recorder = Arc::new(TraceRecorder::new());
-        let ledger = Arc::new(ReadLedger::new());
-        let mut extras: Vec<Arc<dyn Interceptor>> = Vec::new();
-        if record {
-            extras.push(recorder.clone());
-        }
-        if wants_read_fast {
-            extras.push(ledger.clone());
-        }
-        let produced_ops = std::cell::Cell::new(0usize);
-        let boundary = std::cell::Cell::new(CounterSnapshot::default());
-        let (profile, golden, base) = profiler
-            .profile_with_mount(&extras, |ffs| {
-                self.app.produce(ffs)?;
-                produced_ops.set(recorder.len());
-                ledger.mark_produce_end();
-                boundary.set(ffs.counters());
-                self.app.analyze(ffs, None)
-            })
-            .map_err(CampaignError::GoldenRunFailed)?;
-
-        let eligible: Vec<u64> = self
-            .config
-            .signatures
-            .iter()
-            .map(|sig| {
-                profile
-                    .trace
-                    .iter()
-                    .filter(|r| r.in_scope(sig.primitive, |p| sig.target.matches(p)))
-                    .count() as u64
-            })
-            .collect();
-        if eligible.contains(&0) {
-            return Err(CampaignError::NoEligibleInstances);
-        }
-
-        // Every per-run draw happens now, before any plan is built
-        // (engine law 2): global run `i` belongs to shard `i % k` and
-        // draws from `root.child(shard).child(i / k)`, exactly as
-        // before the engine refactor. Drawing up front exposes the
-        // write shards' fork-offset demand to checkpoint placement.
-        let root = Rng::seed_from(self.config.seed);
-        let shard_roots: Vec<Rng> = (0..k).map(|s| root.child(s as u64)).collect();
-        let specs: Vec<InjectionSpec> = (0..self.config.runs)
-            .map(|i| {
-                let s = i % k;
-                let mut rng = shard_roots[s].child((i / k) as u64);
-                let target_instance = rng.gen_range(eligible[s]) + 1;
-                let seed = rng.next_u64();
-                InjectionSpec { target_instance, seed }
-            })
-            .collect();
-        // Liveness watchdogs gate the replay optimizations off, as in
-        // the single-signature driver.
-        let replay_opt = self.config.replay_opt
-            && self.config.fuel.is_none()
-            && self.config.wall_limit.is_none();
-
-        // The golden trace is taken once and serves both fast paths:
-        // the analyze-only basis borrows it (read-only-analyze law),
-        // the write-site checkpoint cache consumes it.
-        let ops = recorder.take_ops();
-        // The union of all write shards' fork offsets — the demand
-        // checkpoint placement serves when the optimizations are on.
-        // A count mismatch surfaces later as that shard's
-        // TraceMismatch fallback; stray demand entries are harmless
-        // placement advice.
-        let demand: Option<Vec<usize>> = (replay_opt && wants_write_fast).then(|| {
-            let mut d = Vec::new();
-            for (s, sig) in self.config.signatures.iter().enumerate() {
-                if sig.primitive != Primitive::Write {
-                    continue;
-                }
-                let elig_ops = eligible_write_ops(&ops, &sig.target);
-                for (i, spec) in specs.iter().enumerate() {
-                    if i % k == s {
-                        if let Some(&op) = elig_ops.get((spec.target_instance - 1) as usize) {
-                            d.push(op);
-                        }
-                    }
-                }
-            }
-            d
-        });
-        let basis: Result<AnalyzeOnlyBasis, ReplayFallback> = if !wants_read_fast {
-            Err(ReplayFallback::Disabled)
-        } else {
-            analyze_only_basis(
-                self.app,
-                &ops,
-                produced_ops.get(),
-                &ledger,
-                boundary.get(),
-                &profile,
-                &golden,
-                &base,
-            )
-        };
-        let cache: Result<Arc<TraceCheckpoints>, ReplayFallback> = if !wants_write_fast {
-            Err(ReplayFallback::Disabled)
-        } else {
-            shared_replay_cache(
-                self.app,
-                ops,
-                produced_ops.get(),
-                profile.counters.get(Primitive::Write),
-                &golden,
-                &base,
-                self.config.checkpoints.as_deref(),
-                demand.as_deref(),
-            )
-        };
-
-        let shards: Vec<Shard> = self
-            .config
-            .signatures
-            .iter()
-            .zip(&eligible)
-            .map(|(sig, &elig)| {
-                let (mode, plan) = if !self.config.replay {
-                    (ExecutionMode::FullRerun { reason: ReplayFallback::Disabled }, None)
-                } else {
-                    match sig.primitive {
-                        Primitive::Read => match basis
-                            .clone()
-                            .and_then(|b| analyze_only_plan(b, &ledger, &sig.target, elig))
-                        {
-                            Ok(plan) => {
-                                (plan.campaign_mode(), Some(CampaignPlan::AnalyzeOnly(plan)))
-                            }
-                            Err(reason) => (ExecutionMode::FullRerun { reason }, None),
-                        },
-                        Primitive::Write => match &cache {
-                            Ok(cache) => {
-                                let eligible_ops = eligible_write_ops(cache.ops(), &sig.target);
-                                if eligible_ops.len() as u64 != elig {
-                                    (
-                                        ExecutionMode::FullRerun {
-                                            reason: ReplayFallback::TraceMismatch,
-                                        },
-                                        None,
-                                    )
-                                } else {
-                                    (
-                                        ExecutionMode::Replay,
-                                        Some(CampaignPlan::Replay(ReplayPlan {
-                                            cache: cache.clone(),
-                                            eligible_ops,
-                                            // Mixed campaigns stay
-                                            // memo-free: the layer is a
-                                            // single-signature fast
-                                            // path today.
-                                            memo: None,
-                                        })),
-                                    )
-                                }
-                            }
-                            Err(reason) => (ExecutionMode::FullRerun { reason: *reason }, None),
-                        },
-                        _ => (
-                            ExecutionMode::FullRerun { reason: ReplayFallback::NonWritePrimitive },
-                            None,
-                        ),
-                    }
-                };
-                Shard { signature: sig.clone(), eligible: elig, mode, plan }
-            })
-            .collect();
-
-        // Resolve each pre-drawn spec to its shard's planned strategy.
-        let golden = Arc::new(golden);
-        let planned: Vec<PlannedRun<InjectionSpec>> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, &spec)| {
-                let s = i % k;
-                let shard = &shards[s];
-                let strategy = match (&shard.plan, shard.mode) {
-                    (Some(p), _) => p.strategy_for(spec.target_instance),
-                    (None, ExecutionMode::FullRerun { reason }) => RunStrategy::Rerun { reason },
-                    (None, _) => unreachable!("fast-path shards always carry a plan"),
-                };
-                PlannedRun { index: i, shard: s, strategy, spec }
-            })
-            .collect();
-        let fingerprint = plan_fingerprint(&planned, k);
-        let meta = JournalMeta {
-            fingerprint,
-            seed: self.config.seed,
-            runs: self.config.runs as u64,
-            shards: k as u32,
-            context: format!("app={} shards={}", self.app.name(), k),
-        };
-        let (journal, resumed) =
-            open_journal(self.config.journal.as_deref(), self.config.resume, meta)?;
-        let eplan = ExecutionPlan::new(planned, k);
-        let engine_cfg = EngineConfig {
-            parallel: self.config.parallel,
-            keep_runs: self.config.keep_runs,
-            keep_seed: self.config.seed,
-        };
-        let liveness = Liveness { fuel: self.config.fuel, wall: self.config.wall_limit };
-        let persist_fn = journal.as_ref().map(|j| {
-            move |index: usize, outcome: Outcome, fired: bool, r: &RunResult| {
-                j.lock().unwrap_or_else(|e| e.into_inner()).append(
-                    index,
-                    outcome,
-                    fired,
-                    &r.encode(),
-                );
-            }
-        });
-        let observe_fn = self
-            .config
-            .observer
-            .as_ref()
-            .map(|obs| move |ev: RunEvent<'_, RunResult>| obs.call(ev.payload, ev.resumed));
-        let durability = Durability {
-            resumed,
-            cancel: self.config.cancel.as_deref(),
-            persist: persist_fn
-                .as_ref()
-                .map(|f| f as &(dyn Fn(usize, Outcome, bool, &RunResult) + Sync)),
-            observe: observe_fn.as_ref().map(|f| f as &(dyn Fn(RunEvent<'_, RunResult>) + Sync)),
-            index_range: self.config.index_range,
-        };
-        // Checkpoint-grouped batch execution (engine law 9), keyed per
-        // `(shard, checkpoint)` so a batch never mixes signatures.
-        let opt_counters = ReplayOptCounters::default();
-        let batching = replay_opt
-            && shards
-                .iter()
-                .any(|sh| matches!(&sh.plan, Some(CampaignPlan::Replay(rp)) if rp.memo.is_none()));
-        let out = engine::execute_durable_batched(
-            &eplan,
-            &engine_cfg,
-            durability,
-            |pr| {
-                if batching {
-                    pr.strategy.batch_key().map(|ck| (pr.shard, ck))
-                } else {
-                    None
-                }
-            },
-            |members| {
-                let s = members.first().map(|&i| i % k)?;
-                let Some(CampaignPlan::Replay(rp)) = &shards[s].plan else { return None };
-                let targets: Vec<usize> = members
-                    .iter()
-                    .map(|&i| rp.eligible_ops[(specs[i].target_instance - 1) as usize])
-                    .collect();
-                let RunStrategy::Replay { checkpoint, .. } =
-                    rp.strategy_for(specs[members[0]].target_instance)
-                else {
-                    return None;
-                };
-                let batch = rp.cache.fork_at_targets(checkpoint, &targets).ok()?;
-                opt_counters.batches.fetch_add(1, Ordering::Relaxed);
-                Some(batch)
-            },
-            |pr, batch| {
-                let shard = &shards[pr.shard];
-                let result = match (batch, &shard.plan) {
-                    (Some(batch), Some(CampaignPlan::Replay(rp))) => execute_run_batched(
-                        self.app,
-                        &shard.signature,
-                        rp,
-                        batch,
-                        &golden,
-                        pr.index,
-                        pr.spec.target_instance,
-                        pr.spec.seed,
-                        &opt_counters,
-                    ),
-                    _ => None,
-                }
-                .unwrap_or_else(|| {
-                    execute_run(
-                        self.app,
-                        &shard.signature,
-                        shard.plan.as_ref(),
-                        pr.strategy,
-                        &golden,
-                        pr.index,
-                        pr.spec.target_instance,
-                        pr.spec.seed,
-                        liveness,
-                    )
-                });
-                RunRecord {
-                    outcome: result.outcome,
-                    fired: result.injection.is_some(),
-                    payload: result,
-                }
-            },
-        );
-
-        let shards = shards
-            .into_iter()
-            .zip(&out.shard_tallies)
-            .map(|(shard, tally)| ShardReport {
-                signature: shard.signature,
-                eligible: shard.eligible,
-                mode: shard.mode,
-                tally: *tally,
-            })
-            .collect();
-
-        Ok(MixedCampaignResult {
-            tally: out.tally,
-            runs: out.kept,
-            profile,
-            shards,
-            plan_fingerprint: fingerprint,
-            status: out.status,
-            executed: out.executed,
-            resumed: out.resumed,
-        })
+        let name = self.app.name();
+        drive(
+            self.app,
+            &self.config,
+            (Primitive::Write, TargetFilter::Any),
+            |root, i| root.child((i % k) as u64).child((i / k) as u64),
+            |_| format!("app={} shards={}", name, k),
+        )
     }
 }
 
@@ -3539,6 +2870,10 @@ mod tests {
             let default_cfg = CampaignConfig::new(FaultSignature::on_write(FaultModel::bit_flip()));
             assert!(default_cfg.replay, "replay is the default execution mode");
         }
+        // No environment turns the replay optimizations or the memo
+        // layer off; only the builders do.
+        let default_cfg = MixedCampaignConfig::new(vec![]);
+        assert!(default_cfg.replay_opt && default_cfg.memo);
         let cfg = CampaignConfig::new(FaultSignature::on_write(FaultModel::bit_flip()))
             .with_runs(5)
             .with_seed(6)
@@ -4110,6 +3445,115 @@ mod tests {
             payload: benign.encode(),
         };
         assert_eq!(RunResult::decode(&lying), None);
+    }
+
+    /// The injection-record bytes both on-disk formats share.
+    const PINNED_INJECTION: &[u8] = &[
+        1,  // present
+        11, // primitive index (FFIS_write)
+        7, 0, 0, 0, 0, 0, 0, 0, // instance
+        21, 0, 0, 0, 0, 0, 0, 0, // prim_seq
+        1, 2, 0, 0, 0, b'/', b'o', // path
+        1, 0, 0x20, 0, 0, 0, 0, 0, 0, // offset 8192
+        0, 0x10, 0, 0, 0, 0, 0, 0, // len 4096
+        1, 0, 0, 0, b'f', // detail
+    ];
+
+    fn pinned_record() -> InjectionRecord {
+        InjectionRecord {
+            primitive: Primitive::Write,
+            instance: 7,
+            prim_seq: 21,
+            path: Some("/o".into()),
+            offset: Some(8192),
+            len: 4096,
+            detail: "f".into(),
+        }
+    }
+
+    /// Every strict prefix of `bytes` must decode to `None`. Every
+    /// single-bit flip must decode without panicking to `None` or to a
+    /// different value that re-encodes to exactly the flipped bytes;
+    /// flips at the `structural` byte offsets must decode to `None`.
+    fn assert_rejects_damage<T: PartialEq + std::fmt::Debug>(
+        bytes: &[u8],
+        structural: &[(usize, u8)],
+        decode: impl Fn(&[u8]) -> Option<T>,
+        encode: impl Fn(&T) -> Vec<u8>,
+    ) {
+        let original = decode(bytes).expect("pinned bytes decode");
+        for cut in 0..bytes.len() {
+            assert_eq!(decode(&bytes[..cut]), None, "prefix of {cut} bytes decoded");
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Some(value) = decode(&flipped) {
+                assert_ne!(value, original, "bit {bit} flip decoded to the original");
+                assert_eq!(encode(&value), flipped, "bit {bit} flip does not round-trip");
+            }
+        }
+        for &(at, mask) in structural {
+            let mut flipped = bytes.to_vec();
+            flipped[at] ^= mask;
+            assert_eq!(decode(&flipped), None, "flip {mask:#04x} at byte {at} decoded");
+        }
+    }
+
+    #[test]
+    fn journal_payload_and_memo_entry_bytes_are_pinned() {
+        let run = RunResult {
+            run: 3,
+            outcome: Outcome::Sdc,
+            target_instance: 7,
+            injection: Some(pinned_record()),
+            crash_message: None,
+            mode: ExecutionMode::Replay,
+            aborted: None,
+        };
+        let mut payload = vec![7, 0, 0, 0, 0, 0, 0, 0]; // target instance
+        payload.extend_from_slice(PINNED_INJECTION);
+        payload.extend_from_slice(&[0, 0, 0]); // no crash message, replay, not aborted
+        assert_eq!(run.encode(), payload);
+        let entry = |payload: &[u8]| JournalEntry {
+            index: 3,
+            outcome: Outcome::Sdc,
+            fired: true,
+            payload: payload.to_vec(),
+        };
+        // Structural bytes: the injection presence and primitive tags,
+        // the path length's top byte, and the mode tag.
+        let mode_at = payload.len() - 2;
+        assert_rejects_damage(
+            &payload,
+            &[(8, 0x02), (9, 0x80), (30, 0x80), (mode_at, 0x40)],
+            |p| RunResult::decode(&entry(p)),
+            RunResult::encode,
+        );
+
+        let arts = vec![(1usize, vec![0xAB, 0xCD])];
+        let mut memo = vec![1]; // entry version
+        memo.extend_from_slice(PINNED_INJECTION);
+        memo.push(1); // artifacts follow
+        memo.extend_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0]); // one artifact
+        memo.extend_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0]); // sub-step 1
+        memo.extend_from_slice(&[2, 0, 0, 0, 0, 0, 0, 0, 0xAB, 0xCD]); // 2 bytes
+        assert_eq!(encode_memo_run(&Some(pinned_record()), Ok(&arts)), memo);
+        let decoded = decode_memo_run(&memo).expect("pinned entry decodes");
+        assert_eq!(decoded.injection, Some(pinned_record()));
+        assert_eq!(decoded.body, Ok(arts));
+        // Structural bytes: the version, the injection presence tag,
+        // the body tag, and the artifact length's top byte.
+        let body_at = 1 + PINNED_INJECTION.len();
+        assert_rejects_damage(
+            &memo,
+            &[(0, 0x02), (1, 0x02), (body_at, 0x02), (memo.len() - 3, 0x80)],
+            |b| decode_memo_run(b).map(|e| (e.injection, e.body)),
+            |(injection, body)| match body {
+                Ok(arts) => encode_memo_run(injection, Ok(arts)),
+                Err(msg) => encode_memo_run(injection, Err(msg)),
+            },
+        );
     }
 
     #[test]

@@ -36,20 +36,31 @@ impl CompletionStatus {
 /// * [`CancelToken::after_runs`] — self-trip after N completed runs,
 ///   the deterministic stand-in for "killed mid-campaign" that the
 ///   resume-law tests and proptests use (no processes, no signals).
-#[derive(Debug, Default)]
+///   Such a token also admits only N run starts, so parallel workers
+///   cannot start an extra run while the N-th is still in flight.
+#[derive(Debug)]
 pub struct CancelToken {
     cancelled: AtomicBool,
     /// Remaining completions before self-trip; `u64::MAX` = disabled.
     countdown: AtomicU64,
+    /// Remaining run starts admitted; `u64::MAX` = unlimited.
+    starts: AtomicU64,
+}
+
+impl Default for CancelToken {
+    fn default() -> Self {
+        CancelToken {
+            cancelled: AtomicBool::new(false),
+            countdown: AtomicU64::new(u64::MAX),
+            starts: AtomicU64::new(u64::MAX),
+        }
+    }
 }
 
 impl CancelToken {
     /// A token that trips only on an explicit [`CancelToken::cancel`].
     pub fn new() -> Arc<Self> {
-        Arc::new(CancelToken {
-            cancelled: AtomicBool::new(false),
-            countdown: AtomicU64::new(u64::MAX),
-        })
+        Arc::new(CancelToken::default())
     }
 
     /// A token that trips itself once `runs` runs have completed —
@@ -58,6 +69,7 @@ impl CancelToken {
         Arc::new(CancelToken {
             cancelled: AtomicBool::new(runs == 0),
             countdown: AtomicU64::new(runs),
+            starts: AtomicU64::new(runs),
         })
     }
 
@@ -70,6 +82,20 @@ impl CancelToken {
     /// Has cancellation been requested?
     pub fn is_cancelled(&self) -> bool {
         self.cancelled.load(Ordering::SeqCst)
+    }
+
+    /// Executor admission check before starting a run: `false` once
+    /// cancelled or once an [`CancelToken::after_runs`] token has
+    /// admitted its N starts.
+    pub fn try_start(&self) -> bool {
+        !self.is_cancelled()
+            && self
+                .starts
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| match v {
+                    u64::MAX => Some(v),
+                    _ => v.checked_sub(1),
+                })
+                .is_ok()
     }
 
     /// Executor notification: one run finished. Drives the
@@ -112,6 +138,18 @@ mod tests {
         assert!(!t.is_cancelled());
         t.note_run_complete();
         assert!(t.is_cancelled());
+    }
+
+    #[test]
+    fn countdown_token_admits_exactly_n_starts() {
+        let t = CancelToken::after_runs(2);
+        assert!(t.try_start() && t.try_start());
+        assert!(!t.try_start(), "a third start while two are in flight");
+        assert!(!t.is_cancelled(), "cancellation still waits for completions");
+        let plain = CancelToken::new();
+        assert!((0..100).all(|_| plain.try_start()));
+        plain.cancel();
+        assert!(!plain.try_start());
     }
 
     #[test]

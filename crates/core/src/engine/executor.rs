@@ -270,8 +270,8 @@ where
         .collect();
 
     // Group the pending runs into batch slots. Only groups of two or
-    // more get a slot: a batch of one amortizes nothing, so it runs
-    // the classic per-run path.
+    // more get a slot: a batch of one amortizes nothing, so its run
+    // gets no context and forks its own checkpoint.
     let mut groups: HashMap<BK, Vec<usize>> = HashMap::new();
     for &pos in &pending {
         let pr = &plan.runs()[pos];
@@ -292,10 +292,11 @@ where
         slots.push(BatchSlot { members, ctx: Mutex::new((false, None)), remaining });
     }
 
-    // `None` = skipped because cancellation tripped before the run
-    // started; the run is simply absent from the sink.
+    // `None` = skipped because the token refused the start
+    // (cancelled, or its start budget is spent); the run is simply
+    // absent from the sink.
     let exec_one = |pos: &usize| -> Option<(usize, usize, Outcome, bool, Option<R>)> {
-        if cancel.is_some_and(|c| c.is_cancelled()) {
+        if cancel.is_some_and(|c| !c.try_start()) {
             return None;
         }
         let pr = &plan.runs()[*pos];
@@ -728,7 +729,7 @@ mod tests {
         let full = execute(&p, &cfg, run_one);
         // Journal half the runs; the batch grouping must only cover
         // what actually executes, and a declining make_batch leaves
-        // every run on the classic path.
+        // every run without a context.
         let resumed: HashMap<usize, (Outcome, bool, (usize, u64))> = p
             .runs()
             .iter()

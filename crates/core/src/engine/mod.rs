@@ -36,10 +36,11 @@
 //!    plan: every planned run executes exactly once.
 //! 2. **Plan-time randomness** — all per-run random draws (target
 //!    instance, injection seed, flip mask) happen while *building* the
-//!    plan, from per-run child streams (`root.child(shard).child(run)`
-//!    in the sharded drivers, `root.child(run)` in the
-//!    single-signature driver). Execution order can never affect a
-//!    draw.
+//!    plan, from per-run child streams. The one campaign driver takes
+//!    the stream as its frontend's draw rule:
+//!    `root.child(shard).child(run)` for [`crate::MixedCampaign`],
+//!    `root.child(run)` for [`crate::Campaign`]. Execution order can
+//!    never affect a draw.
 //! 3. **Order independence** — the schedule is a pure wall-clock
 //!    optimization. Serial and parallel execution of the same plan
 //!    produce byte-identical tallies, kept records, injection records,
@@ -117,7 +118,8 @@
 //!    grouping of the *existing* schedule, never a reordering: the
 //!    shortest-suffix-first schedule, the index-addressed result
 //!    slots, and every run's record are identical whether the batch
-//!    context engaged, declined, or the run executed solo — which is
+//!    context engaged, declined, or the run forked its own checkpoint
+//!    (a batch of one runs exactly like an unbatched run) — which is
 //!    what keeps laws 3, 6, and 7 intact (a resumed or
 //!    range-restricted invocation simply groups the runs it actually
 //!    executes). Batch contexts (and the suffix coalescing they

@@ -124,10 +124,9 @@ pub mod rng;
 pub mod stats;
 
 pub use campaign::{
-    memo_default, replay_default, replay_opt_default, Campaign, CampaignConfig, CampaignError,
-    CampaignResult, ExecutionMode, MemoFallback, MemoReport, MixedCampaign, MixedCampaignConfig,
-    MixedCampaignResult, ReplayFallback, ReplayOptReport, RunAborted, RunObserver, RunResult,
-    ShardReport,
+    replay_default, Campaign, CampaignConfig, CampaignError, CampaignResult, ExecutionMode,
+    MemoFallback, MemoReport, MixedCampaign, MixedCampaignConfig, MixedCampaignResult,
+    ReplayFallback, ReplayOptReport, RunAborted, RunObserver, RunResult, ShardReport, Signatures,
 };
 pub use engine::{
     CampaignSpec, CancelToken, CompletionStatus, ExecutionPlan, JobFailure, JobState, JournalEntry,

@@ -636,8 +636,8 @@ impl ReplayCursor {
     /// The filesystem state left behind differs from a full replay
     /// only on dropped paths; everything `keep` selects is
     /// byte-identical. Callers must therefore guarantee nothing
-    /// downstream observes a dropped path — the memoized batched
-    /// replay arm does so by construction, because dropped paths are
+    /// downstream observes a dropped path — a memoized batched run
+    /// does so by construction, because dropped paths are
     /// exactly those no dirty analyze sub-step declares as input.
     pub fn replay_coalesced_filtered(
         &mut self,
@@ -1016,8 +1016,7 @@ impl TraceCheckpoints {
     /// once per batch instead of once per run, and each run then pays
     /// only one mounted crossing (its target op) plus the off-mount
     /// tail. Targets below the checkpoint's index or outside the trace
-    /// are skipped — callers fall back to the classic per-run arm for
-    /// those.
+    /// are skipped — callers fork the checkpoint itself for those.
     pub fn fork_at_targets(
         &self,
         checkpoint: usize,

@@ -283,6 +283,52 @@ fn dirty_cascade_counters_partition_substeps() {
     );
 }
 
+/// Mixed campaigns share the memo gate: a write+read campaign over a
+/// multi-tile Montage memoizes both shards (the write shard through the
+/// dirty cascade, the read shard as incremental analyze), and its run
+/// digest is identical with memo on or off and with the plan-aware
+/// replay optimizations on or off.
+#[test]
+fn mixed_campaigns_memoize_and_stay_byte_identical() {
+    let app = MontageApp::multi_tile(2);
+    let mk = |memo: bool, replay_opt: bool| {
+        let cfg = MixedCampaignConfig::new(vec![
+            FaultSignature::on_write(FaultModel::bit_flip()),
+            FaultSignature::on_read(FaultModel::bit_flip()),
+        ])
+        .with_runs(12)
+        .with_seed(4242)
+        .with_replay(true)
+        .with_memo(memo)
+        .with_replay_opt(replay_opt);
+        MixedCampaign::new(&app, cfg).run().unwrap()
+    };
+    let memo = mk(true, true);
+    assert!(memo.memo.engaged, "{}", memo.memo.reason());
+    assert_eq!(memo.memo.substeps, 2);
+    assert!(memo.memo.stats.invalidations > 0, "faults must dirty their tile's sub-step");
+    assert!(memo.replay_opt.engaged && memo.replay_opt.demand_placed);
+    assert_eq!(memo.shards[0].mode, ExecutionMode::Replay);
+    assert_eq!(memo.shards[1].mode, ExecutionMode::IncrementalAnalyze);
+    assert!(memo.runs.iter().any(|r| r.injection.is_some()), "no injection fired");
+
+    let controls = [
+        ("memo off", mk(false, true)),
+        ("replay_opt off", mk(true, false)),
+        ("memo and replay_opt off", mk(false, false)),
+    ];
+    for (what, other) in &controls {
+        assert_eq!(other.run_digest(), memo.run_digest(), "{what}: digests must collide");
+        assert_eq!(other.tally, memo.tally, "{what}");
+        for (a, b) in other.shards.iter().zip(&memo.shards) {
+            assert_eq!(a.tally, b.tally, "{what}");
+        }
+    }
+    let off = &controls[0].1;
+    assert_eq!(off.memo.fallback, Some(MemoFallback::Disabled));
+    assert_eq!(off.shards[1].mode, ExecutionMode::AnalyzeOnly);
+}
+
 mod proptests {
     use super::*;
     use proptest::prelude::*;
