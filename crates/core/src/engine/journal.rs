@@ -568,6 +568,53 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// Byte pin: a journal header and one record frame. A journal
+    /// written by any earlier build must keep reopening, so these bytes
+    /// may only change together with [`JOURNAL_SCHEMA`].
+    #[test]
+    fn header_and_record_bytes_are_pinned() {
+        let path = tmp("pin");
+        let meta = JournalMeta {
+            fingerprint: 0x0123_4567_89AB_CDEF,
+            seed: 7,
+            runs: 3,
+            shards: 1,
+            context: "pin".into(),
+        };
+        let mut j = RunJournal::create(&path, meta.clone()).unwrap();
+        assert!(j.append(2, Outcome::Detected, true, b"xy"));
+        drop(j);
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let bytes = std::fs::read(&path).unwrap();
+        let pinned = concat!(
+            "464649534a4e4c31", // magic "FFISJNL1"
+            "01000000",         // schema 1
+            "efcdab8967452301", // plan fingerprint
+            "0700000000000000", // seed
+            "0300000000000000", // runs
+            "01000000",         // shards
+            "0300000070696e",   // context "pin"
+            "c517dfc0",         // header CRC
+            "0c000000",         // record: payload length 12
+            "c46fafe0",         // payload CRC
+            "0200000000000000", // index 2
+            "01",               // outcome: detected
+            "01",               // fired
+            "7879",             // frontend payload "xy"
+        );
+        assert_eq!(hex(&bytes), pinned);
+        let (_, entries) = RunJournal::resume(&path, &meta).unwrap();
+        assert_eq!(
+            entries[&2],
+            JournalEntry {
+                index: 2,
+                outcome: Outcome::Detected,
+                fired: true,
+                payload: b"xy".to_vec()
+            }
+        );
+    }
+
     #[test]
     fn create_append_resume_roundtrip() {
         let path = tmp("roundtrip");

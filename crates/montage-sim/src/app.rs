@@ -694,6 +694,25 @@ mod tests {
     use super::*;
     use ffis_vfs::MemFs;
 
+    /// Byte pin: one tile artifact. Memo stores written by any earlier
+    /// build must keep reopening, so these bytes are frozen.
+    #[test]
+    fn tile_artifact_bytes_are_pinned() {
+        let img = FinalImage { bytes: vec![1, 2, 3], min: 82.5, max: 255.0, width: 3, height: 1 };
+        let bytes = encode_final(&img);
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let pinned = concat!(
+            "0300000000000000", // raster length 3
+            "010203",           // raster
+            "0000000000a05440", // min 82.5
+            "0000000000e06f40", // max 255.0
+            "0300000000000000", // width 3
+            "0100000000000000", // height 1
+        );
+        assert_eq!(hex(&bytes), pinned);
+        assert_eq!(encode_final(&decode_final(&bytes).unwrap()), bytes);
+    }
+
     #[test]
     fn golden_run_completes() {
         let app = MontageApp::paper_default();

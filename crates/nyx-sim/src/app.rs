@@ -413,6 +413,30 @@ mod tests {
         })
     }
 
+    /// Byte pin: one plotfile catalog artifact. Memo stores written by
+    /// any earlier build must keep reopening, so these bytes are frozen.
+    #[test]
+    fn catalog_artifact_bytes_are_pinned() {
+        let halo = Halo { center: [0.5, 1.0, 1.5], cells: 3, mass: 4.25 };
+        let catalog =
+            HaloCatalog { mean: 1.5, threshold: 2.0, candidate_cells: 9, halos: vec![halo] };
+        let bytes = encode_catalog([4, 5, 6], &catalog);
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let pinned = concat!(
+            "040000000000000005000000000000000600000000000000", // dims 4 x 5 x 6
+            "000000000000f83f",                                 // mean 1.5
+            "0000000000000040",                                 // threshold 2.0
+            "0900000000000000",                                 // candidate cells 9
+            "0100000000000000",                                 // 1 halo
+            "000000000000e03f000000000000f03f000000000000f83f", //   centre (0.5, 1.0, 1.5)
+            "03000000",                                         //   3 cells
+            "0000000000001140",                                 //   mass 4.25
+        );
+        assert_eq!(hex(&bytes), pinned);
+        let (dims, back) = decode_catalog(&bytes).unwrap();
+        assert_eq!(encode_catalog(dims, &back), bytes);
+    }
+
     #[test]
     fn golden_run_finds_halos() {
         let a = app();

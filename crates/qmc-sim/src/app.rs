@@ -603,6 +603,25 @@ mod tests {
         })
     }
 
+    /// Byte pin: one restart-segment artifact. Memo stores written by
+    /// any earlier build must keep reopening, so these bytes are frozen.
+    #[test]
+    fn segment_artifact_bytes_are_pinned() {
+        let qmca = QmcaResult { energy: -2.5, error: 0.25, rows_used: 7 };
+        let bytes = encode_segment(b"s001", &qmca);
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let pinned = concat!(
+            "0400000000000000", // s001 length 4
+            "73303031",         // "s001"
+            "00000000000004c0", // energy -2.5
+            "000000000000d03f", // error 0.25
+            "0700000000000000", // rows used 7
+        );
+        assert_eq!(hex(&bytes), pinned);
+        let (s001, back) = decode_segment(&bytes).unwrap();
+        assert_eq!(encode_segment(&s001, &back), bytes);
+    }
+
     #[test]
     fn golden_run_produces_all_files() {
         let app = small_app();

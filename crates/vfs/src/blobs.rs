@@ -408,6 +408,25 @@ mod tests {
         dir
     }
 
+    /// Byte pin: one blob frame. Store directories written by any
+    /// earlier build must keep reopening, so these bytes are frozen.
+    #[test]
+    fn blob_frame_bytes_are_pinned() {
+        let dir = temp_dir("pin");
+        let hash = BlobStore::at_dir(&dir).unwrap().put(b"pin");
+        let path = dir.join(&hash_hex(&hash)[..2]).join(format!("{}.blob", hash_hex(&hash)));
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let pinned = concat!(
+            "46464953424c4231", // magic "FFISBLB1"
+            "03000000",         // length 3
+            "f32d85b5",         // CRC
+            "70696e",           // "pin"
+        );
+        assert_eq!(hex(&std::fs::read(&path).unwrap()), pinned);
+        assert_eq!(BlobStore::at_dir(&dir).unwrap().get(&hash).unwrap().as_slice(), b"pin");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn disk_tier_survives_process_restart() {
         let dir = temp_dir("restart");

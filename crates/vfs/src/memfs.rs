@@ -1329,6 +1329,61 @@ mod tests {
         assert!(MemFs::import_image(&truncated, &mut |_| None).is_none());
     }
 
+    /// Byte pin: a small filesystem image (one directory, one file
+    /// held open under a shared lock). Checkpoint manifests written by
+    /// any earlier build embed these images, so the bytes are frozen.
+    #[test]
+    fn small_image_bytes_are_pinned() {
+        let a = fs();
+        a.mkdir("/d", 0o755).unwrap();
+        let fd = a.create("/d/a", 0o644).unwrap();
+        a.write(fd, b"hi").unwrap();
+        a.lock(fd, LockKind::Shared).unwrap();
+        // Address each page by its first byte so the image stays short.
+        let image = a.export_image(&mut |page| [page[0]; 32]);
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let pinned = concat!(
+            // next inode
+            "0400000000000000",
+            // next descriptor
+            "0400000000000000",
+            // logical clock
+            "0600000000000000",
+            // 3 inodes
+            "03000000",
+            // inode 1: dir 0o755, nlink 3, mtime 3, rdev 0
+            "010000000000000001ed0100000300000003000000000000000000000000000000",
+            // one entry: "d" -> inode 2
+            "010100000001000000640200000000000000",
+            // inode 2: dir 0o755, nlink 2, mtime 5, rdev 0
+            "020000000000000001ed0100000200000005000000000000000000000000000000",
+            // one entry: "a" -> inode 3
+            "010100000001000000610300000000000000",
+            // inode 3: file 0o644, nlink 1, mtime 6, rdev 0
+            "030000000000000000a40100000100000006000000000000000000000000000000",
+            // 2 bytes in 1 page
+            "00020000000000000001000000",
+            // page address
+            "6868686868686868686868686868686868686868686868686868686868686868",
+            // 1 handle
+            "01000000",
+            // fd 3 -> inode 3, rw|create|truncate, cursor 2, shared lock
+            "030000000000000003000000000000000e020000000000000001",
+            // 1 lock record
+            "01000000",
+            // inode 3: 1 shared, not exclusive
+            "03000000000000000100000000",
+        );
+        assert_eq!(hex(&image), pinned);
+        let b = MemFs::import_image(&image, &mut |h| {
+            let mut p = [0u8; BLOCK_SIZE];
+            p[..2].copy_from_slice(b"hi");
+            (h == &[b'h'; 32]).then(|| Arc::new(p))
+        })
+        .unwrap();
+        assert_eq!(b.snapshot("/d/a").unwrap(), b"hi");
+    }
+
     #[test]
     fn concurrent_writers_distinct_files() {
         use std::sync::Arc;

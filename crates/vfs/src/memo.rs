@@ -359,6 +359,28 @@ mod tests {
         assert_eq!(ok.as_slice(), b"second try");
     }
 
+    /// Byte pin: one memo index frame. Memo directories written by any
+    /// earlier build must keep reopening, so these bytes are frozen.
+    #[test]
+    fn index_frame_bytes_are_pinned() {
+        let dir = std::env::temp_dir().join(format!("ffis-memo-pin-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        MemoStore::at_dir(&dir).unwrap().put(b"pin-key", b"pin-value");
+        let hex = hash_hex(&sha256(b"pin-key"));
+        let frame = dir.join("index").join(&hex[..2]).join(format!("{hex}.memo"));
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let pinned = concat!(
+            "464649534d454d31", // magic "FFISMEM1"
+            "90fb23de9c3d22d6b90b3d45d388524927569e2a0c4151090d3b173b8b1f6db8", // sha256(key)
+            "2153ffce7a0419af789d7ddedb267e6a3398546326063fbb6469d66fc0ae42a8", // sha256(value)
+            "6eaeb5e2",         // CRC over key and value addresses
+        );
+        assert_eq!(hex(&std::fs::read(&frame).unwrap()), pinned);
+        let reopened = MemoStore::at_dir(&dir).unwrap();
+        assert_eq!(reopened.get(b"pin-key").unwrap().as_slice(), b"pin-value");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn disk_tier_survives_a_fresh_store_and_discards_corrupt_frames() {
         let dir = std::env::temp_dir().join(format!("ffis-memo-test-{}", std::process::id()));

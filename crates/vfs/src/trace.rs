@@ -2086,6 +2086,47 @@ mod tests {
         (rec.ops(), base)
     }
 
+    /// Byte pin: the checkpoint manifest of a 3-op trace (frame header
+    /// in full, the whole file by length and SHA-256). Store roots
+    /// written by any earlier build must keep reopening, so the bytes
+    /// may only change together with `MANIFEST_SCHEMA`.
+    #[test]
+    fn manifest_bytes_are_pinned() {
+        let dir = std::env::temp_dir().join(format!("ffis-manifest-pin-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ops = vec![
+            TraceOp::Create { path: "/a".into(), mode: 0o644, fd: 3 },
+            TraceOp::Write { fd: 3, path: Some("/a".into()), offset: None, data: b"hi".to_vec() },
+            TraceOp::Release { fd: 3 },
+        ];
+        CheckpointStore::with_dir(&dir).unwrap().get_or_build(ops.clone()).unwrap();
+        let mut manifests: Vec<_> = std::fs::read_dir(dir.join("manifests"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "manifest"))
+            .collect();
+        assert_eq!(manifests.len(), 1);
+        let raw = std::fs::read(manifests.pop().unwrap()).unwrap();
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let header = concat!(
+            "46464953434b4d31", // magic "FFISCKM1"
+            "02000000",         // schema 2
+            "6f5b7e363ccb9f2a", // trace fingerprint
+            "c5020000",         // body length 709
+            "496ab851",         // body CRC
+        );
+        assert_eq!(hex(&raw[..28]), header);
+        assert_eq!(raw.len(), 28 + 709);
+        assert_eq!(
+            crate::blobs::hash_hex(&crate::blobs::sha256(&raw)),
+            "8d1f800ccdb8f903b6ce226480f3c131eef148a630cd28577a2cfbebc5a46158"
+        );
+        let reopened = CheckpointStore::with_dir(&dir).unwrap();
+        reopened.get_or_build(ops).unwrap();
+        assert_eq!((reopened.disk_hits(), reopened.builds()), (1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn recorder_captures_mutating_ops_only() {
         let (ops, _) = record_workload();
