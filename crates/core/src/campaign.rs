@@ -26,13 +26,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use ffis_vfs::codec::{put_opt_str, put_str, put_u64, Fnv, Reader};
 use ffis_vfs::{
     BatchFork, BatchForks, CheckpointStore, CoalesceStats, CounterSnapshot, FfisFs, Interceptor,
     MemFs, MemoStats, MemoStore, Placement, Primitive, ReadLedger, ReadRecord, ReplayCursor,
     TraceCheckpoint, TraceCheckpoints, TraceOp, TraceRecorder, PRIMITIVES,
 };
 
-use crate::engine::journal::{wire, JournalEntry};
+use crate::engine::journal::JournalEntry;
 use crate::engine::{
     self, CancelToken, CompletionStatus, Durability, EngineConfig, ExecutionPlan, JournalError,
     JournalMeta, PlannedRun, RunEvent, RunJournal, RunRecord, RunStrategy,
@@ -709,13 +710,13 @@ fn fallback_from_code(c: u8) -> Option<ReplayFallback> {
 impl RunResult {
     /// Serialize the journal payload: everything the engine frame
     /// (`index`, `outcome`, `fired`) does not already carry. The
-    /// encoding uses the journal's [`wire`] helpers; bumping its shape
+    /// encoding uses the [`ffis_vfs::codec`] helpers; bumping its shape
     /// requires bumping [`crate::engine::journal::JOURNAL_SCHEMA`].
     fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64);
-        wire::put_u64(&mut buf, self.target_instance);
+        put_u64(&mut buf, self.target_instance);
         put_injection(&mut buf, &self.injection);
-        wire::put_opt_str(&mut buf, self.crash_message.as_deref());
+        put_opt_str(&mut buf, self.crash_message.as_deref());
         match self.mode {
             ExecutionMode::Replay => buf.push(0),
             ExecutionMode::AnalyzeOnly => buf.push(1),
@@ -730,11 +731,11 @@ impl RunResult {
             None => buf.push(0),
             Some(RunAborted::FuelExhausted { budget }) => {
                 buf.push(1);
-                wire::put_u64(&mut buf, budget);
+                put_u64(&mut buf, budget);
             }
             Some(RunAborted::DeadlineExceeded { limit_ms }) => {
                 buf.push(2);
-                wire::put_u64(&mut buf, limit_ms);
+                put_u64(&mut buf, limit_ms);
             }
         }
         buf
@@ -744,7 +745,7 @@ impl RunResult {
     /// or inconsistent (e.g. `fired` without an injection record) —
     /// the resume path drops such entries and re-executes the run.
     fn decode(entry: &JournalEntry) -> Option<RunResult> {
-        let mut r = wire::Reader::new(&entry.payload);
+        let mut r = Reader::new(&entry.payload);
         let target_instance = r.u64()?;
         let injection = take_injection(&mut r)?;
         if injection.is_some() != entry.fired {
@@ -791,23 +792,23 @@ fn put_injection(buf: &mut Vec<u8>, injection: &Option<InjectionRecord>) {
     };
     buf.push(1);
     buf.push(i.primitive.index() as u8);
-    wire::put_u64(buf, i.instance);
-    wire::put_u64(buf, i.prim_seq);
-    wire::put_opt_str(buf, i.path.as_deref());
+    put_u64(buf, i.instance);
+    put_u64(buf, i.prim_seq);
+    put_opt_str(buf, i.path.as_deref());
     match i.offset {
         None => buf.push(0),
         Some(o) => {
             buf.push(1);
-            wire::put_u64(buf, o);
+            put_u64(buf, o);
         }
     }
-    wire::put_u64(buf, i.len as u64);
-    wire::put_str(buf, &i.detail);
+    put_u64(buf, i.len as u64);
+    put_str(buf, &i.detail);
 }
 
 /// Take what [`put_injection`] wrote; `None` when the bytes are
 /// malformed.
-fn take_injection(r: &mut wire::Reader<'_>) -> Option<Option<InjectionRecord>> {
+fn take_injection(r: &mut Reader<'_>) -> Option<Option<InjectionRecord>> {
     match r.u8()? {
         0 => return Some(None),
         1 => {}
@@ -825,23 +826,6 @@ fn take_injection(r: &mut wire::Reader<'_>) -> Option<Option<InjectionRecord>> {
     let len = r.u64()? as usize;
     let detail = r.str()?;
     Some(Some(InjectionRecord { primitive, instance, prim_seq, path, offset, len, detail }))
-}
-
-/// FNV-1a, the workspace's standing digest primitive (the same
-/// parameters the differential test suites pin campaign behavior
-/// with).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xCBF2_9CE4_8422_2325)
-    }
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01B3);
-        }
-    }
 }
 
 /// FNV-1a digest over retained run records: run index, outcome,
@@ -870,7 +854,7 @@ fn digest_runs(runs: &[RunResult]) -> u64 {
         }
         h.eat(r.crash_message.as_deref().unwrap_or("-").as_bytes());
     }
-    h.0
+    h.finish()
 }
 
 /// Full campaign result.
@@ -1406,7 +1390,7 @@ fn plan_fingerprint(planned: &[PlannedRun<InjectionSpec>], shards: usize) -> u64
             }
         }
     }
-    h.0
+    h.finish()
 }
 
 /// Per-run watchdog bundle, armed on every injection run's mount —
@@ -1851,7 +1835,7 @@ fn substep_memo<A: FaultApp>(
         artifacts,
         read_ranges,
         counters,
-        golden_key: golden_hash.0,
+        golden_key: golden_hash.finish(),
         store: store.clone(),
     })
 }
@@ -1893,14 +1877,14 @@ fn encode_memo_run(
     match body {
         Err(msg) => {
             buf.push(0);
-            wire::put_str(&mut buf, msg);
+            put_str(&mut buf, msg);
         }
         Ok(arts) => {
             buf.push(1);
-            wire::put_u64(&mut buf, arts.len() as u64);
+            put_u64(&mut buf, arts.len() as u64);
             for (i, a) in arts {
-                wire::put_u64(&mut buf, *i as u64);
-                wire::put_u64(&mut buf, a.len() as u64);
+                put_u64(&mut buf, *i as u64);
+                put_u64(&mut buf, a.len() as u64);
                 buf.extend_from_slice(a);
             }
         }
@@ -1909,7 +1893,7 @@ fn encode_memo_run(
 }
 
 fn decode_memo_run(bytes: &[u8]) -> Option<MemoRunEntry> {
-    let mut r = wire::Reader::new(bytes);
+    let mut r = Reader::new(bytes);
     if r.u8()? != 1 {
         return None;
     }
@@ -1917,11 +1901,11 @@ fn decode_memo_run(bytes: &[u8]) -> Option<MemoRunEntry> {
     let body = match r.u8()? {
         0 => Err(r.str()?),
         1 => {
-            let n = r.u64()? as usize;
-            let mut arts = Vec::with_capacity(n.min(1024));
+            let n = r.count::<u64>(16)?;
+            let mut arts = Vec::with_capacity(n);
             for _ in 0..n {
                 let i = r.u64()? as usize;
-                let len = r.u64()? as usize;
+                let len = r.count::<u64>(1)?;
                 arts.push((i, r.bytes(len)?.to_vec()));
             }
             Ok(arts)

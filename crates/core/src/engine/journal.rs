@@ -41,7 +41,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use ffis_vfs::blobs::crc32;
+use ffis_vfs::codec::{self, crc32, put_str, put_u32, put_u64, Reader};
 
 use crate::outcome::Outcome;
 
@@ -156,112 +156,17 @@ fn outcome_from_code(c: u8) -> Option<Outcome> {
     })
 }
 
-/// Append `v` as little-endian bytes (encoding helpers shared with the
-/// frontends' payload serializers).
-pub mod wire {
-    /// Append a `u32`, little-endian.
-    pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a `u64`, little-endian.
-    pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a length-prefixed UTF-8 string.
-    pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-        put_u32(buf, s.len() as u32);
-        buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Append an optional length-prefixed UTF-8 string.
-    pub fn put_opt_str(buf: &mut Vec<u8>, s: Option<&str>) {
-        match s {
-            Some(s) => {
-                buf.push(1);
-                put_str(buf, s);
-            }
-            None => buf.push(0),
-        }
-    }
-
-    /// Cursor over encoded bytes; every read is bounds-checked so a
-    /// corrupt payload decodes to `None`, never a panic.
-    pub struct Reader<'a> {
-        buf: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        /// Reader over `buf` from the start.
-        pub fn new(buf: &'a [u8]) -> Self {
-            Reader { buf, pos: 0 }
-        }
-
-        /// Bytes not yet consumed.
-        pub fn remaining(&self) -> usize {
-            self.buf.len() - self.pos
-        }
-
-        /// Take one byte.
-        pub fn u8(&mut self) -> Option<u8> {
-            let b = *self.buf.get(self.pos)?;
-            self.pos += 1;
-            Some(b)
-        }
-
-        /// Take a little-endian `u32`.
-        pub fn u32(&mut self) -> Option<u32> {
-            let s = self.buf.get(self.pos..self.pos + 4)?;
-            self.pos += 4;
-            Some(u32::from_le_bytes(s.try_into().ok()?))
-        }
-
-        /// Take a little-endian `u64`.
-        pub fn u64(&mut self) -> Option<u64> {
-            let s = self.buf.get(self.pos..self.pos + 8)?;
-            self.pos += 8;
-            Some(u64::from_le_bytes(s.try_into().ok()?))
-        }
-
-        /// Take a length-prefixed UTF-8 string.
-        pub fn str(&mut self) -> Option<String> {
-            let len = self.u32()? as usize;
-            let s = self.buf.get(self.pos..self.pos.checked_add(len)?)?;
-            self.pos += len;
-            String::from_utf8(s.to_vec()).ok()
-        }
-
-        /// Take an optional length-prefixed UTF-8 string.
-        pub fn opt_str(&mut self) -> Option<Option<String>> {
-            match self.u8()? {
-                0 => Some(None),
-                1 => Some(Some(self.str()?)),
-                _ => None,
-            }
-        }
-
-        /// Take `n` raw bytes.
-        pub fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-            let s = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
-            self.pos += n;
-            Some(s)
-        }
-    }
-}
-
 fn encode_header(meta: &JournalMeta) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + meta.context.len());
     buf.extend_from_slice(JOURNAL_MAGIC);
-    wire::put_u32(&mut buf, JOURNAL_SCHEMA);
-    wire::put_u64(&mut buf, meta.fingerprint);
-    wire::put_u64(&mut buf, meta.seed);
-    wire::put_u64(&mut buf, meta.runs);
-    wire::put_u32(&mut buf, meta.shards);
-    wire::put_str(&mut buf, &meta.context);
+    put_u32(&mut buf, JOURNAL_SCHEMA);
+    put_u64(&mut buf, meta.fingerprint);
+    put_u64(&mut buf, meta.seed);
+    put_u64(&mut buf, meta.runs);
+    put_u32(&mut buf, meta.shards);
+    put_str(&mut buf, &meta.context);
     let crc = crc32(&buf);
-    wire::put_u32(&mut buf, crc);
+    put_u32(&mut buf, crc);
     buf
 }
 
@@ -360,15 +265,13 @@ impl RunJournal {
         if self.degraded {
             return false;
         }
-        let mut body = Vec::with_capacity(10 + payload.len());
-        wire::put_u64(&mut body, index as u64);
-        body.push(outcome_code(outcome));
-        body.push(fired as u8);
-        body.extend_from_slice(payload);
-        let mut frame = Vec::with_capacity(8 + body.len());
-        wire::put_u32(&mut frame, body.len() as u32);
-        wire::put_u32(&mut frame, crc32(&body));
-        frame.extend_from_slice(&body);
+        let mut frame = Vec::with_capacity(18 + payload.len());
+        codec::put_frame(&mut frame, |body| {
+            put_u64(body, index as u64);
+            body.push(outcome_code(outcome));
+            body.push(fired as u8);
+            body.extend_from_slice(payload);
+        });
 
         for (attempt, backoff_ms) in
             APPEND_BACKOFF_MS.iter().map(|&ms| Some(ms)).chain([None]).enumerate()
@@ -415,7 +318,7 @@ fn decode_header(bytes: &[u8]) -> Result<(JournalMeta, usize), JournalError> {
     if bytes.len() < 8 || &bytes[..8] != JOURNAL_MAGIC {
         return Err(JournalError::BadMagic);
     }
-    let mut r = wire::Reader::new(&bytes[8..]);
+    let mut r = Reader::new(&bytes[8..]);
     let schema = r.u32().ok_or_else(|| JournalError::CorruptHeader("truncated".into()))?;
     if schema != JOURNAL_SCHEMA {
         return Err(JournalError::SchemaMismatch { found: schema, expected: JOURNAL_SCHEMA });
@@ -452,17 +355,8 @@ impl Iterator for RecordScan<'_> {
     type Item = (JournalEntry, usize);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let frame = &self.body[self.pos..];
-        if frame.len() < 8 {
-            return None;
-        }
-        let len = u32::from_le_bytes(frame[..4].try_into().ok()?) as usize;
-        let crc = u32::from_le_bytes(frame[4..8].try_into().ok()?);
-        let payload = frame.get(8..8 + len)?;
-        if crc32(payload) != crc {
-            return None;
-        }
-        let mut r = wire::Reader::new(payload);
+        let payload = Reader::new(&self.body[self.pos..]).frame()?;
+        let mut r = Reader::new(payload);
         let index = r.u64()? as usize;
         let outcome = outcome_from_code(r.u8()?)?;
         let fired = match r.u8()? {
@@ -470,8 +364,8 @@ impl Iterator for RecordScan<'_> {
             1 => true,
             _ => return None,
         };
-        let rest = payload[payload.len() - r.remaining()..].to_vec();
-        self.pos += 8 + len;
+        let rest = r.bytes(r.remaining())?.to_vec();
+        self.pos += 8 + payload.len();
         Some((JournalEntry { index, outcome, fired, payload: rest }, self.pos))
     }
 }
@@ -562,7 +456,7 @@ mod tests {
 
     #[test]
     fn crc32_matches_known_vectors() {
-        // The journal frames with the shared `ffis_vfs::blobs::crc32`;
+        // The journal frames with the shared `ffis_vfs::codec::crc32`;
         // pin the standard IEEE test vector its on-disk format needs.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
@@ -823,10 +717,10 @@ mod tests {
     #[test]
     fn wire_reader_is_bounds_checked() {
         let mut buf = Vec::new();
-        wire::put_u64(&mut buf, 7);
-        wire::put_opt_str(&mut buf, Some("hi"));
-        wire::put_opt_str(&mut buf, None);
-        let mut r = wire::Reader::new(&buf);
+        put_u64(&mut buf, 7);
+        codec::put_opt_str(&mut buf, Some("hi"));
+        codec::put_opt_str(&mut buf, None);
+        let mut r = Reader::new(&buf);
         assert_eq!(r.u64(), Some(7));
         assert_eq!(r.opt_str(), Some(Some("hi".into())));
         assert_eq!(r.opt_str(), Some(None));

@@ -17,6 +17,7 @@
 //! [`MontageApp::stage_filter`].
 
 use ffis_core::{FaultApp, Outcome, SubstepSpec, TargetFilter};
+use ffis_vfs::codec::{put_f64, put_u64, Reader};
 use ffis_vfs::{FileSystem, FileSystemExt};
 use fitslite::{parse_fits, render_fits, FitsImage};
 
@@ -468,34 +469,30 @@ impl MontageApp {
 /// artifact (length-prefixed raster + the stretch statistics).
 fn encode_final(img: &FinalImage) -> Vec<u8> {
     let mut out = Vec::with_capacity(img.bytes.len() + 40);
-    out.extend_from_slice(&(img.bytes.len() as u64).to_le_bytes());
+    put_u64(&mut out, img.bytes.len() as u64);
     out.extend_from_slice(&img.bytes);
-    out.extend_from_slice(&img.min.to_le_bytes());
-    out.extend_from_slice(&img.max.to_le_bytes());
-    out.extend_from_slice(&(img.width as u64).to_le_bytes());
-    out.extend_from_slice(&(img.height as u64).to_le_bytes());
+    put_f64(&mut out, img.min);
+    put_f64(&mut out, img.max);
+    put_u64(&mut out, img.width as u64);
+    put_u64(&mut out, img.height as u64);
     out
 }
 
 /// Inverse of [`encode_final`].
 fn decode_final(b: &[u8]) -> Result<FinalImage, String> {
-    let err = || "malformed tile artifact".to_string();
-    let take_u64 = |at: usize| -> Result<u64, String> {
-        Ok(u64::from_le_bytes(b.get(at..at + 8).ok_or_else(err)?.try_into().unwrap()))
+    let mut r = Reader::new(b);
+    let mut take = || {
+        let len = r.count::<u64>(1)?;
+        let img = FinalImage {
+            bytes: r.bytes(len)?.to_vec(),
+            min: r.f64()?,
+            max: r.f64()?,
+            width: r.u64()? as usize,
+            height: r.u64()? as usize,
+        };
+        (r.remaining() == 0).then_some(img)
     };
-    let len = take_u64(0)? as usize;
-    let bytes = b.get(8..8 + len).ok_or_else(err)?.to_vec();
-    let at = 8 + len;
-    if b.len() != at + 32 {
-        return Err(err());
-    }
-    Ok(FinalImage {
-        bytes,
-        min: f64::from_le_bytes(b[at..at + 8].try_into().unwrap()),
-        max: f64::from_le_bytes(b[at + 8..at + 16].try_into().unwrap()),
-        width: take_u64(at + 16)? as usize,
-        height: take_u64(at + 24)? as usize,
-    })
+    take().ok_or_else(|| "malformed tile artifact".to_string())
 }
 
 /// The mBgExec → mAdd → viewer tail over in-memory inputs, shared by
@@ -696,6 +693,14 @@ mod tests {
 
     /// Byte pin: one tile artifact. Memo stores written by any earlier
     /// build must keep reopening, so these bytes are frozen.
+    #[test]
+    fn tile_artifact_with_a_huge_length_is_an_error() {
+        let mut bytes = u64::MAX.to_le_bytes().to_vec();
+        bytes.push(0);
+        assert!(decode_final(&bytes).is_err());
+        assert!(decode_final(&[0xFF]).is_err());
+    }
+
     #[test]
     fn tile_artifact_bytes_are_pinned() {
         let img = FinalImage { bytes: vec![1, 2, 3], min: 82.5, max: 255.0, width: 3, height: 1 };

@@ -12,6 +12,7 @@
 //! the cases are detected and otherwise they are the SDC."
 
 use ffis_core::{FaultApp, Outcome, SubstepSpec};
+use ffis_vfs::codec::{put_f64, put_u32, put_u64, Reader};
 use ffis_vfs::FileSystem;
 use hdf5lite::{Dataset, FileBuilder, WriteOptions};
 
@@ -228,49 +229,41 @@ impl NyxApp {
 /// analyze-sub-step artifact (dims + the structured catalog; the
 /// rendered text is re-derived at assembly).
 fn encode_catalog(dims: [usize; 3], catalog: &HaloCatalog) -> Vec<u8> {
-    let mut out = Vec::with_capacity(48 + catalog.halos.len() * 40);
+    let mut out = Vec::with_capacity(56 + catalog.halos.len() * 36);
     for d in dims {
-        out.extend_from_slice(&(d as u64).to_le_bytes());
+        put_u64(&mut out, d as u64);
     }
-    out.extend_from_slice(&catalog.mean.to_le_bytes());
-    out.extend_from_slice(&catalog.threshold.to_le_bytes());
-    out.extend_from_slice(&catalog.candidate_cells.to_le_bytes());
-    out.extend_from_slice(&(catalog.halos.len() as u64).to_le_bytes());
+    put_f64(&mut out, catalog.mean);
+    put_f64(&mut out, catalog.threshold);
+    put_u64(&mut out, catalog.candidate_cells);
+    put_u64(&mut out, catalog.halos.len() as u64);
     for h in &catalog.halos {
         for c in h.center {
-            out.extend_from_slice(&c.to_le_bytes());
+            put_f64(&mut out, c);
         }
-        out.extend_from_slice(&h.cells.to_le_bytes());
-        out.extend_from_slice(&h.mass.to_le_bytes());
+        put_u32(&mut out, h.cells);
+        put_f64(&mut out, h.mass);
     }
     out
 }
 
 /// Inverse of [`encode_catalog`].
 fn decode_catalog(b: &[u8]) -> Result<([usize; 3], HaloCatalog), String> {
-    let err = || "malformed plotfile artifact".to_string();
-    let u = |at: usize| -> Result<u64, String> {
-        Ok(u64::from_le_bytes(b.get(at..at + 8).ok_or_else(err)?.try_into().unwrap()))
+    let mut r = Reader::new(b);
+    let mut take = || {
+        let dims = [r.u64()? as usize, r.u64()? as usize, r.u64()? as usize];
+        let (mean, threshold, candidate_cells) = (r.f64()?, r.f64()?, r.u64()?);
+        // A halo encodes to 36 bytes: centre, cell count, mass.
+        let n_halos = r.count::<u64>(36)?;
+        let mut halos = Vec::with_capacity(n_halos);
+        for _ in 0..n_halos {
+            let center = [r.f64()?, r.f64()?, r.f64()?];
+            halos.push(Halo { center, cells: r.u32()?, mass: r.f64()? });
+        }
+        (r.remaining() == 0)
+            .then_some((dims, HaloCatalog { mean, threshold, candidate_cells, halos }))
     };
-    let f = |at: usize| -> Result<f64, String> {
-        Ok(f64::from_le_bytes(b.get(at..at + 8).ok_or_else(err)?.try_into().unwrap()))
-    };
-    let dims = [u(0)? as usize, u(8)? as usize, u(16)? as usize];
-    let (mean, threshold, candidate_cells, n_halos) = (f(24)?, f(32)?, u(40)?, u(48)? as usize);
-    let mut halos = Vec::with_capacity(n_halos);
-    let mut at = 56;
-    for _ in 0..n_halos {
-        let center = [f(at)?, f(at + 8)?, f(at + 16)?];
-        let cells =
-            u32::from_le_bytes(b.get(at + 24..at + 28).ok_or_else(err)?.try_into().unwrap());
-        let mass = f(at + 28)?;
-        halos.push(Halo { center, cells, mass });
-        at += 36;
-    }
-    if b.len() != at {
-        return Err(err());
-    }
-    Ok((dims, HaloCatalog { mean, threshold, candidate_cells, halos }))
+    take().ok_or_else(|| "malformed plotfile artifact".to_string())
 }
 
 impl FaultApp for NyxApp {
@@ -415,6 +408,19 @@ mod tests {
 
     /// Byte pin: one plotfile catalog artifact. Memo stores written by
     /// any earlier build must keep reopening, so these bytes are frozen.
+    #[test]
+    fn catalog_with_a_huge_halo_count_is_an_error() {
+        let mut bytes = encode_catalog(
+            [1, 1, 1],
+            &HaloCatalog { mean: 0.0, threshold: 0.0, candidate_cells: 0, halos: Vec::new() },
+        );
+        bytes.truncate(48);
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        bytes.push(0);
+        assert!(decode_catalog(&bytes).is_err());
+        assert!(decode_catalog(&[0xFF]).is_err());
+    }
+
     #[test]
     fn catalog_artifact_bytes_are_pinned() {
         let halo = Halo { center: [0.5, 1.0, 1.5], cells: 3, mass: 4.25 };

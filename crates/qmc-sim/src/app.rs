@@ -23,6 +23,7 @@
 //! a DMC abort ⇒ *crash*.
 
 use ffis_core::{FaultApp, Outcome, SubstepSpec};
+use ffis_vfs::codec::{put_f64, put_u64, Reader};
 use ffis_vfs::{FileSystem, FileSystemExt};
 
 use crate::dmc::{run_dmc, DmcConfig};
@@ -389,29 +390,24 @@ impl QmcApp {
 /// statistics).
 fn encode_segment(s001_bytes: &[u8], qmca: &QmcaResult) -> Vec<u8> {
     let mut out = Vec::with_capacity(s001_bytes.len() + 32);
-    out.extend_from_slice(&(s001_bytes.len() as u64).to_le_bytes());
+    put_u64(&mut out, s001_bytes.len() as u64);
     out.extend_from_slice(s001_bytes);
-    out.extend_from_slice(&qmca.energy.to_le_bytes());
-    out.extend_from_slice(&qmca.error.to_le_bytes());
-    out.extend_from_slice(&(qmca.rows_used as u64).to_le_bytes());
+    put_f64(&mut out, qmca.energy);
+    put_f64(&mut out, qmca.error);
+    put_u64(&mut out, qmca.rows_used as u64);
     out
 }
 
 /// Inverse of [`encode_segment`].
 fn decode_segment(b: &[u8]) -> Result<(Vec<u8>, QmcaResult), String> {
-    let err = || "malformed segment artifact".to_string();
-    let len = u64::from_le_bytes(b.get(..8).ok_or_else(err)?.try_into().unwrap()) as usize;
-    let s001_bytes = b.get(8..8 + len).ok_or_else(err)?.to_vec();
-    let at = 8 + len;
-    if b.len() != at + 24 {
-        return Err(err());
-    }
-    let qmca = QmcaResult {
-        energy: f64::from_le_bytes(b[at..at + 8].try_into().unwrap()),
-        error: f64::from_le_bytes(b[at + 8..at + 16].try_into().unwrap()),
-        rows_used: u64::from_le_bytes(b[at + 16..at + 24].try_into().unwrap()) as usize,
+    let mut r = Reader::new(b);
+    let mut take = || {
+        let len = r.count::<u64>(1)?;
+        let s001_bytes = r.bytes(len)?.to_vec();
+        let qmca = QmcaResult { energy: r.f64()?, error: r.f64()?, rows_used: r.u64()? as usize };
+        (r.remaining() == 0).then_some((s001_bytes, qmca))
     };
-    Ok((s001_bytes, qmca))
+    take().ok_or_else(|| "malformed segment artifact".to_string())
 }
 
 impl FaultApp for QmcApp {
@@ -605,6 +601,14 @@ mod tests {
 
     /// Byte pin: one restart-segment artifact. Memo stores written by
     /// any earlier build must keep reopening, so these bytes are frozen.
+    #[test]
+    fn segment_with_a_huge_length_is_an_error() {
+        let mut bytes = u64::MAX.to_le_bytes().to_vec();
+        bytes.push(0);
+        assert!(decode_segment(&bytes).is_err());
+        assert!(decode_segment(&[0xFF]).is_err());
+    }
+
     #[test]
     fn segment_artifact_bytes_are_pinned() {
         let qmca = QmcaResult { energy: -2.5, error: 0.25, rows_used: 7 };

@@ -20,9 +20,9 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
-use crate::wire;
+use crate::codec::{self, Reader};
 
 /// Content address of a blob: SHA-256 over its bytes.
 pub type BlobHash = [u8; 32];
@@ -33,29 +33,6 @@ const BLOB_MAGIC: &[u8; 8] = b"FFISBLB1";
 // ---------------------------------------------------------------------------
 // Hashing
 // ---------------------------------------------------------------------------
-
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320), table-driven. Local to
-/// this crate — `ffis-core`'s run journal carries its own copy — so
-/// the VFS layer stays dependency-free.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *slot = c;
-        }
-        t
-    });
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
 
 const SHA256_K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -306,48 +283,35 @@ impl BlobStore {
     }
 }
 
-/// Write one CRC-framed blob file via temp + atomic rename. The temp
-/// name embeds the pid so concurrent writers in different processes
-/// never collide mid-write.
+/// Write one CRC-framed blob file unless it already exists, creating
+/// its shard directory first.
 fn write_frame(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    if path.exists() {
-        return Ok(()); // Content-addressed: an existing file is this file.
-    }
-    let parent = path.parent().expect("blob paths have a shard directory");
-    std::fs::create_dir_all(parent)?;
     let mut frame = Vec::with_capacity(bytes.len() + 16);
     frame.extend_from_slice(BLOB_MAGIC);
-    wire::put_u32(&mut frame, bytes.len() as u32);
-    wire::put_u32(&mut frame, crc32(bytes));
-    frame.extend_from_slice(bytes);
-    let tmp = parent.join(format!(
-        ".tmp-{}-{}",
-        std::process::id(),
-        path.file_name().and_then(|n| n.to_str()).unwrap_or("blob")
-    ));
-    std::fs::write(&tmp, &frame)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
+    codec::put_frame(&mut frame, |body| body.extend_from_slice(bytes));
+    install_once(path, &frame)
+}
+
+/// [`codec::install`] `bytes` at a content-addressed `path` unless it
+/// already exists (an existing file holds the same bytes), creating the
+/// parent directory first. Concurrent writers in different processes
+/// race idempotently.
+pub(crate) fn install_once(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    if path.exists() {
+        return Ok(());
     }
+    std::fs::create_dir_all(path.parent().expect("store paths have a shard directory"))?;
+    codec::install(path, bytes)
 }
 
 /// Decode a framed blob file; `None` on any structural or CRC damage.
 fn decode_frame(raw: &[u8]) -> Option<Vec<u8>> {
-    let mut r = wire::Reader::new(raw);
+    let mut r = Reader::new(raw);
     if r.bytes(BLOB_MAGIC.len())? != BLOB_MAGIC {
         return None;
     }
-    let len = r.u32()? as usize;
-    let crc = r.u32()?;
-    let bytes = r.bytes(len)?;
-    if r.remaining() != 0 || crc32(bytes) != crc {
-        return None;
-    }
-    Some(bytes.to_vec())
+    let bytes = r.frame()?;
+    (r.remaining() == 0).then(|| bytes.to_vec())
 }
 
 #[cfg(test)]
@@ -374,8 +338,8 @@ mod tests {
 
     #[test]
     fn crc32_known_vector() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+        assert_eq!(crate::codec::crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crate::codec::crc32(b""), 0);
     }
 
     #[test]
@@ -493,9 +457,7 @@ mod tests {
         // this address (e.g. a botched manual copy) must not be served.
         let mut frame = Vec::new();
         frame.extend_from_slice(BLOB_MAGIC);
-        wire::put_u32(&mut frame, 5);
-        wire::put_u32(&mut frame, crc32(b"wrong"));
-        frame.extend_from_slice(b"wrong");
+        codec::put_frame(&mut frame, |body| body.extend_from_slice(b"wrong"));
         std::fs::write(&path, &frame).unwrap();
         let fresh = BlobStore::at_dir(&dir).unwrap();
         assert!(fresh.get(&hash).is_none());

@@ -77,6 +77,7 @@
 
 pub mod blobs;
 pub mod bufio;
+pub mod codec;
 pub mod counting;
 pub mod error;
 pub mod ffisfs;
@@ -88,7 +89,6 @@ pub mod memfs;
 pub mod memo;
 pub mod path;
 pub mod trace;
-mod wire;
 
 pub use blobs::{BlobHash, BlobStats, BlobStore};
 pub use bufio::BufFile;

@@ -11,12 +11,12 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
+use crate::codec::{put_str, put_u32, put_u64, put_u8, Reader};
 use crate::error::{FsError, FsResult};
 use crate::file::{Page, SectorFile, BLOCK_SIZE};
 use crate::fs::{DirEntry, Fd, FileSystem, LockKind, Metadata, NodeKind, OpenFlags, StatFs};
 use crate::inode::{Ino, Inode, NodeData, ROOT_INO};
 use crate::path;
-use crate::wire;
 
 /// Open-descriptor state.
 #[derive(Debug, Clone)]
@@ -194,59 +194,59 @@ impl MemFs {
     pub(crate) fn export_image(&self, put_page: &mut dyn FnMut(&[u8]) -> [u8; 32]) -> Vec<u8> {
         let g = self.read_lock();
         let mut buf = Vec::new();
-        wire::put_u64(&mut buf, g.next_ino);
-        wire::put_u64(&mut buf, g.next_fd);
-        wire::put_u64(&mut buf, g.clock);
+        put_u64(&mut buf, g.next_ino);
+        put_u64(&mut buf, g.next_fd);
+        put_u64(&mut buf, g.clock);
 
         let mut inos: Vec<&Inode> = g.inodes.values().collect();
         inos.sort_by_key(|n| n.ino);
-        wire::put_u32(&mut buf, inos.len() as u32);
+        put_u32(&mut buf, inos.len() as u32);
         for node in inos {
-            wire::put_u64(&mut buf, node.ino);
-            wire::put_u8(&mut buf, kind_code(node.kind));
-            wire::put_u32(&mut buf, node.mode);
-            wire::put_u32(&mut buf, node.nlink);
-            wire::put_u64(&mut buf, node.mtime);
-            wire::put_u64(&mut buf, node.rdev);
+            put_u64(&mut buf, node.ino);
+            put_u8(&mut buf, kind_code(node.kind));
+            put_u32(&mut buf, node.mode);
+            put_u32(&mut buf, node.nlink);
+            put_u64(&mut buf, node.mtime);
+            put_u64(&mut buf, node.rdev);
             match &node.data {
                 NodeData::Bytes(f) => {
-                    wire::put_u8(&mut buf, 0);
-                    wire::put_u64(&mut buf, f.len());
-                    wire::put_u32(&mut buf, f.pages().len() as u32);
+                    put_u8(&mut buf, 0);
+                    put_u64(&mut buf, f.len());
+                    put_u32(&mut buf, f.pages().len() as u32);
                     for page in f.pages() {
                         buf.extend_from_slice(&put_page(&page[..]));
                     }
                 }
                 NodeData::Dir(map) => {
-                    wire::put_u8(&mut buf, 1);
-                    wire::put_u32(&mut buf, map.len() as u32);
+                    put_u8(&mut buf, 1);
+                    put_u32(&mut buf, map.len() as u32);
                     for (name, child) in map {
-                        wire::put_str(&mut buf, name);
-                        wire::put_u64(&mut buf, *child);
+                        put_str(&mut buf, name);
+                        put_u64(&mut buf, *child);
                     }
                 }
-                NodeData::None => wire::put_u8(&mut buf, 2),
+                NodeData::None => put_u8(&mut buf, 2),
             }
         }
 
         let mut fds: Vec<(&Fd, &Handle)> = g.handles.iter().collect();
         fds.sort_by_key(|(fd, _)| **fd);
-        wire::put_u32(&mut buf, fds.len() as u32);
+        put_u32(&mut buf, fds.len() as u32);
         for (fd, h) in fds {
-            wire::put_u64(&mut buf, *fd);
-            wire::put_u64(&mut buf, h.ino);
-            wire::put_u8(&mut buf, flags_code(&h.flags));
-            wire::put_u64(&mut buf, h.cursor);
-            wire::put_u8(&mut buf, lock_code(h.lock));
+            put_u64(&mut buf, *fd);
+            put_u64(&mut buf, h.ino);
+            put_u8(&mut buf, flags_code(&h.flags));
+            put_u64(&mut buf, h.cursor);
+            put_u8(&mut buf, lock_code(h.lock));
         }
 
         let mut locks: Vec<(&Ino, &LockState)> = g.locks.iter().collect();
         locks.sort_by_key(|(ino, _)| **ino);
-        wire::put_u32(&mut buf, locks.len() as u32);
+        put_u32(&mut buf, locks.len() as u32);
         for (ino, st) in locks {
-            wire::put_u64(&mut buf, *ino);
-            wire::put_u32(&mut buf, st.shared);
-            wire::put_u8(&mut buf, u8::from(st.exclusive));
+            put_u64(&mut buf, *ino);
+            put_u32(&mut buf, st.shared);
+            put_u8(&mut buf, u8::from(st.exclusive));
         }
         buf
     }
@@ -260,12 +260,14 @@ impl MemFs {
         image: &[u8],
         get_page: &mut dyn FnMut(&[u8; 32]) -> Option<Arc<Page>>,
     ) -> Option<MemFs> {
-        let mut r = wire::Reader::new(image);
+        let mut r = Reader::new(image);
         let next_ino = r.u64()?;
         let next_fd = r.u64()?;
         let clock = r.u64()?;
 
-        let n_inodes = r.u32()? as usize;
+        // Minimum encoded sizes: an inode header is 34 bytes, a page
+        // address 32, a directory entry 12, a handle 26, a lock 13.
+        let n_inodes = r.count::<u32>(34)?;
         let mut inodes = HashMap::with_capacity(n_inodes);
         for _ in 0..n_inodes {
             let ino = r.u64()?;
@@ -277,7 +279,7 @@ impl MemFs {
             let data = match r.u8()? {
                 0 => {
                     let len = r.u64()?;
-                    let n_pages = r.u32()? as usize;
+                    let n_pages = r.count::<u32>(32)?;
                     let mut pages = Vec::with_capacity(n_pages);
                     for _ in 0..n_pages {
                         let hash: [u8; 32] = r.bytes(32)?.try_into().ok()?;
@@ -286,10 +288,10 @@ impl MemFs {
                     NodeData::Bytes(SectorFile::from_pages(pages, len)?)
                 }
                 1 => {
-                    let n = r.u32()? as usize;
+                    let n = r.count::<u32>(12)?;
                     let mut map = BTreeMap::new();
                     for _ in 0..n {
-                        let name = r.str_()?;
+                        let name = r.str()?;
                         let child = r.u64()?;
                         map.insert(name, child);
                     }
@@ -304,7 +306,7 @@ impl MemFs {
             return None;
         }
 
-        let n_handles = r.u32()? as usize;
+        let n_handles = r.count::<u32>(26)?;
         let mut handles = HashMap::with_capacity(n_handles);
         for _ in 0..n_handles {
             let fd = r.u64()?;
@@ -315,7 +317,7 @@ impl MemFs {
             handles.insert(fd, Handle { ino, flags, cursor, lock });
         }
 
-        let n_locks = r.u32()? as usize;
+        let n_locks = r.count::<u32>(13)?;
         let mut locks = HashMap::with_capacity(n_locks);
         for _ in 0..n_locks {
             let ino = r.u64()?;
@@ -899,6 +901,25 @@ mod tests {
 
     fn fs() -> MemFs {
         MemFs::new()
+    }
+
+    /// Every count in an image (inodes, pages, directory entries,
+    /// handles, locks) is checked against the bytes left before it
+    /// sizes an allocation: overwriting any 4 bytes with `u32::MAX` and
+    /// cutting the image one byte later decodes to `None`.
+    #[test]
+    fn huge_image_counts_are_rejected_before_allocating() {
+        let a = fs();
+        a.mkdir("/d", 0o755).unwrap();
+        let fd = a.create("/d/a", 0o644).unwrap();
+        a.write(fd, b"hi").unwrap();
+        a.lock(fd, LockKind::Shared).unwrap();
+        let image = a.export_image(&mut |page| [page[0]; 32]);
+        for at in 0..image.len() - 4 {
+            let mut hostile = image[..at + 5].to_vec();
+            hostile[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(MemFs::import_image(&hostile, &mut |_| None).is_none(), "offset {at}");
+        }
     }
 
     #[test]

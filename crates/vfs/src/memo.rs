@@ -41,7 +41,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::blobs::{crc32, hash_hex, sha256, BlobHash, BlobStats, BlobStore};
+use crate::blobs::{hash_hex, install_once, sha256, BlobHash, BlobStats, BlobStore};
+use crate::codec::{crc32, Reader};
 
 const INDEX_MAGIC: &[u8; 8] = b"FFISMEM1";
 
@@ -259,41 +260,25 @@ impl MemoStore {
 }
 
 fn write_index_frame(path: &Path, key: &BlobHash, value: &BlobHash) -> std::io::Result<()> {
-    if path.exists() {
-        return Ok(()); // Content-addressed: an existing frame is this frame.
-    }
-    let parent = path.parent().expect("index paths have a shard directory");
-    std::fs::create_dir_all(parent)?;
     let mut frame = Vec::with_capacity(8 + 32 + 32 + 4);
     frame.extend_from_slice(INDEX_MAGIC);
     frame.extend_from_slice(key);
     frame.extend_from_slice(value);
     let crc = crc32(&frame[8..]);
     frame.extend_from_slice(&crc.to_le_bytes());
-    let tmp = parent.join(format!(
-        ".tmp-{}-{}",
-        std::process::id(),
-        path.file_name().and_then(|n| n.to_str()).unwrap_or("memo")
-    ));
-    std::fs::write(&tmp, &frame)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
+    install_once(path, &frame)
 }
 
 fn decode_index_frame(raw: &[u8], expect_key: &BlobHash) -> Option<BlobHash> {
-    if raw.len() != 8 + 32 + 32 + 4 || &raw[..8] != INDEX_MAGIC {
+    let mut r = Reader::new(raw);
+    if r.bytes(INDEX_MAGIC.len())? != INDEX_MAGIC {
         return None;
     }
-    let crc = u32::from_le_bytes(raw[72..76].try_into().ok()?);
-    if crc32(&raw[8..72]) != crc || raw[8..40] != expect_key[..] {
+    let addresses = r.bytes(64)?;
+    if r.u32()? != crc32(addresses) || r.remaining() != 0 || addresses[..32] != expect_key[..] {
         return None;
     }
-    raw[40..72].try_into().ok()
+    addresses[32..].try_into().ok()
 }
 
 #[cfg(test)]

@@ -198,14 +198,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::blobs::{crc32, BlobStats, BlobStore};
+use crate::blobs::{BlobStats, BlobStore};
+use crate::codec::{self, put_str, put_u32, put_u64, put_u8, Fnv, Reader};
 use crate::error::{FsError, FsResult};
 use crate::ffisfs::{CounterSnapshot, FfisFs};
 use crate::file::{Page, BLOCK_SIZE};
 use crate::fs::{Fd, FileSystem, LockKind, NodeKind, OpenFlags};
 use crate::interceptor::{Interceptor, Primitive};
 use crate::memfs::{self, MemFs};
-use crate::wire;
 
 /// One recorded state-mutating primitive invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -1198,7 +1198,7 @@ pub fn demand_fingerprint(demand: &[usize]) -> u64 {
     for d in sorted {
         h.eat_u64(d as u64);
     }
-    h.0
+    h.finish()
 }
 
 /// One eligible `FFIS_read` crossing observed by a [`ReadLedger`]:
@@ -1312,7 +1312,7 @@ impl Interceptor for ReadLedger {
             offset: cx.offset,
             len: cx.len,
             returned: None,
-            fingerprint: Fnv::new().0,
+            fingerprint: Fnv::new().finish(),
         });
     }
 
@@ -1330,31 +1330,9 @@ impl Interceptor for ReadLedger {
             let mut h = Fnv::new();
             h.eat(&buf[..n]);
             entry.returned = Some(n);
-            entry.fingerprint = h.0;
+            entry.fingerprint = h.finish();
         }
         crate::interceptor::ReadAction::Forward
-    }
-}
-
-/// FNV-1a accumulator for trace fingerprinting.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xCBF2_9CE4_8422_2325)
-    }
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    fn eat_u64(&mut self, v: u64) {
-        self.eat(&v.to_le_bytes());
-    }
-    fn eat_str(&mut self, s: &str) {
-        self.eat_u64(s.len() as u64);
-        self.eat(s.as_bytes());
     }
 }
 
@@ -1450,7 +1428,7 @@ fn trace_fingerprint(ops: &[TraceOp]) -> u64 {
             }
         }
     }
-    h.0
+    h.finish()
 }
 
 /// Checkpoint-manifest file framing: magic, schema, trace fingerprint,
@@ -1466,87 +1444,87 @@ const MANIFEST_SCHEMA: u32 = 2;
 fn encode_op(op: &TraceOp, blobs: &BlobStore, buf: &mut Vec<u8>) {
     match op {
         TraceOp::Mknod { path, kind, mode, dev } => {
-            wire::put_u8(buf, 0);
-            wire::put_str(buf, path);
-            wire::put_u8(buf, memfs::kind_code(*kind));
-            wire::put_u32(buf, *mode);
-            wire::put_u64(buf, *dev);
+            put_u8(buf, 0);
+            put_str(buf, path);
+            put_u8(buf, memfs::kind_code(*kind));
+            put_u32(buf, *mode);
+            put_u64(buf, *dev);
         }
         TraceOp::Mkdir { path, mode } => {
-            wire::put_u8(buf, 1);
-            wire::put_str(buf, path);
-            wire::put_u32(buf, *mode);
+            put_u8(buf, 1);
+            put_str(buf, path);
+            put_u32(buf, *mode);
         }
         TraceOp::Unlink { path } => {
-            wire::put_u8(buf, 2);
-            wire::put_str(buf, path);
+            put_u8(buf, 2);
+            put_str(buf, path);
         }
         TraceOp::Rmdir { path } => {
-            wire::put_u8(buf, 3);
-            wire::put_str(buf, path);
+            put_u8(buf, 3);
+            put_str(buf, path);
         }
         TraceOp::Rename { from, to } => {
-            wire::put_u8(buf, 4);
-            wire::put_str(buf, from);
-            wire::put_str(buf, to);
+            put_u8(buf, 4);
+            put_str(buf, from);
+            put_str(buf, to);
         }
         TraceOp::Chmod { path, mode } => {
-            wire::put_u8(buf, 5);
-            wire::put_str(buf, path);
-            wire::put_u32(buf, *mode);
+            put_u8(buf, 5);
+            put_str(buf, path);
+            put_u32(buf, *mode);
         }
         TraceOp::Truncate { path, size } => {
-            wire::put_u8(buf, 6);
-            wire::put_str(buf, path);
-            wire::put_u64(buf, *size);
+            put_u8(buf, 6);
+            put_str(buf, path);
+            put_u64(buf, *size);
         }
         TraceOp::Create { path, mode, fd } => {
-            wire::put_u8(buf, 7);
-            wire::put_str(buf, path);
-            wire::put_u32(buf, *mode);
-            wire::put_u64(buf, *fd);
+            put_u8(buf, 7);
+            put_str(buf, path);
+            put_u32(buf, *mode);
+            put_u64(buf, *fd);
         }
         TraceOp::Open { path, flags, fd } => {
-            wire::put_u8(buf, 8);
-            wire::put_str(buf, path);
-            wire::put_u8(buf, memfs::flags_code(flags));
-            wire::put_u64(buf, *fd);
+            put_u8(buf, 8);
+            put_str(buf, path);
+            put_u8(buf, memfs::flags_code(flags));
+            put_u64(buf, *fd);
         }
         TraceOp::Write { fd, path, offset, data } => {
-            wire::put_u8(buf, 9);
-            wire::put_u64(buf, *fd);
+            put_u8(buf, 9);
+            put_u64(buf, *fd);
             match path {
                 Some(p) => {
-                    wire::put_u8(buf, 1);
-                    wire::put_str(buf, p);
+                    put_u8(buf, 1);
+                    put_str(buf, p);
                 }
-                None => wire::put_u8(buf, 0),
+                None => put_u8(buf, 0),
             }
             match offset {
                 Some(o) => {
-                    wire::put_u8(buf, 1);
-                    wire::put_u64(buf, *o);
+                    put_u8(buf, 1);
+                    put_u64(buf, *o);
                 }
-                None => wire::put_u8(buf, 0),
+                None => put_u8(buf, 0),
             }
-            wire::put_u32(buf, data.len() as u32);
-            wire::put_u32(buf, data.chunks(BLOCK_SIZE).len() as u32);
+            put_u32(buf, data.len() as u32);
+            put_u32(buf, data.chunks(BLOCK_SIZE).len() as u32);
             for chunk in data.chunks(BLOCK_SIZE) {
                 buf.extend_from_slice(&blobs.put(chunk));
             }
         }
         TraceOp::Fsync { fd } => {
-            wire::put_u8(buf, 10);
-            wire::put_u64(buf, *fd);
+            put_u8(buf, 10);
+            put_u64(buf, *fd);
         }
         TraceOp::Release { fd } => {
-            wire::put_u8(buf, 11);
-            wire::put_u64(buf, *fd);
+            put_u8(buf, 11);
+            put_u64(buf, *fd);
         }
         TraceOp::Lock { fd, kind } => {
-            wire::put_u8(buf, 12);
-            wire::put_u64(buf, *fd);
-            wire::put_u8(
+            put_u8(buf, 12);
+            put_u64(buf, *fd);
+            put_u8(
                 buf,
                 match kind {
                     LockKind::Shared => 1,
@@ -1555,37 +1533,37 @@ fn encode_op(op: &TraceOp, blobs: &BlobStore, buf: &mut Vec<u8>) {
             );
         }
         TraceOp::Unlock { fd } => {
-            wire::put_u8(buf, 13);
-            wire::put_u64(buf, *fd);
+            put_u8(buf, 13);
+            put_u64(buf, *fd);
         }
     }
 }
 
 /// Inverse of [`encode_op`]; `None` on any malformed field or a write
 /// chunk missing from / corrupted in the blob store.
-fn decode_op(r: &mut wire::Reader<'_>, blobs: &BlobStore) -> Option<TraceOp> {
+fn decode_op(r: &mut Reader<'_>, blobs: &BlobStore) -> Option<TraceOp> {
     Some(match r.u8()? {
         0 => TraceOp::Mknod {
-            path: r.str_()?,
+            path: r.str()?,
             kind: memfs::kind_from_code(r.u8()?)?,
             mode: r.u32()?,
             dev: r.u64()?,
         },
-        1 => TraceOp::Mkdir { path: r.str_()?, mode: r.u32()? },
-        2 => TraceOp::Unlink { path: r.str_()? },
-        3 => TraceOp::Rmdir { path: r.str_()? },
-        4 => TraceOp::Rename { from: r.str_()?, to: r.str_()? },
-        5 => TraceOp::Chmod { path: r.str_()?, mode: r.u32()? },
-        6 => TraceOp::Truncate { path: r.str_()?, size: r.u64()? },
-        7 => TraceOp::Create { path: r.str_()?, mode: r.u32()?, fd: r.u64()? },
+        1 => TraceOp::Mkdir { path: r.str()?, mode: r.u32()? },
+        2 => TraceOp::Unlink { path: r.str()? },
+        3 => TraceOp::Rmdir { path: r.str()? },
+        4 => TraceOp::Rename { from: r.str()?, to: r.str()? },
+        5 => TraceOp::Chmod { path: r.str()?, mode: r.u32()? },
+        6 => TraceOp::Truncate { path: r.str()?, size: r.u64()? },
+        7 => TraceOp::Create { path: r.str()?, mode: r.u32()?, fd: r.u64()? },
         8 => {
-            TraceOp::Open { path: r.str_()?, flags: memfs::flags_from_code(r.u8()?)?, fd: r.u64()? }
+            TraceOp::Open { path: r.str()?, flags: memfs::flags_from_code(r.u8()?)?, fd: r.u64()? }
         }
         9 => {
             let fd = r.u64()?;
             let path = match r.u8()? {
                 0 => None,
-                1 => Some(r.str_()?),
+                1 => Some(r.str()?),
                 _ => return None,
             };
             let offset = match r.u8()? {
@@ -1594,7 +1572,10 @@ fn decode_op(r: &mut wire::Reader<'_>, blobs: &BlobStore) -> Option<TraceOp> {
                 _ => return None,
             };
             let total = r.u32()? as usize;
-            let n_chunks = r.u32()? as usize;
+            let n_chunks = r.count::<u32>(32)?;
+            if total > n_chunks * BLOCK_SIZE {
+                return None;
+            }
             let mut data = Vec::with_capacity(total);
             for _ in 0..n_chunks {
                 let hash: [u8; 32] = r.bytes(32)?.try_into().ok()?;
@@ -1627,50 +1608,50 @@ fn decode_op(r: &mut wire::Reader<'_>, blobs: &BlobStore) -> Option<TraceOp> {
 /// growing file, or sibling campaigns over the same workload) dedupe
 /// on disk.
 fn encode_manifest(key: u64, cks: &TraceCheckpoints, blobs: &BlobStore) -> Vec<u8> {
-    let mut body = Vec::new();
+    let mut out = Vec::new();
+    out.extend_from_slice(MANIFEST_MAGIC);
+    put_u32(&mut out, MANIFEST_SCHEMA);
+    put_u64(&mut out, key);
+    codec::put_frame(&mut out, |body| encode_manifest_body(cks, blobs, body));
+    out
+}
+
+/// The CRC-covered manifest body: placement, op stream, checkpoints.
+fn encode_manifest_body(cks: &TraceCheckpoints, blobs: &BlobStore, body: &mut Vec<u8>) {
     match &cks.placement {
-        Placement::LogSpaced => wire::put_u8(&mut body, 0),
+        Placement::LogSpaced => put_u8(body, 0),
         Placement::Demand(demand) => {
-            wire::put_u8(&mut body, 1);
-            wire::put_u32(&mut body, demand.len() as u32);
+            put_u8(body, 1);
+            put_u32(body, demand.len() as u32);
             for &d in demand {
-                wire::put_u64(&mut body, d as u64);
+                put_u64(body, d as u64);
             }
         }
     }
-    wire::put_u32(&mut body, cks.ops.len() as u32);
+    put_u32(body, cks.ops.len() as u32);
     for op in &cks.ops {
-        encode_op(op, blobs, &mut body);
+        encode_op(op, blobs, body);
     }
-    wire::put_u32(&mut body, cks.points.len() as u32);
+    put_u32(body, cks.points.len() as u32);
     for point in &cks.points {
-        wire::put_u64(&mut body, point.index as u64);
+        put_u64(body, point.index as u64);
         let counts = point.counters.to_raw();
-        wire::put_u32(&mut body, counts.len() as u32);
+        put_u32(body, counts.len() as u32);
         for c in counts {
-            wire::put_u64(&mut body, c);
+            put_u64(body, c);
         }
         let mut fds: Vec<_> = point.cursor.fds.iter().collect();
         fds.sort_by_key(|(golden, _)| **golden);
-        wire::put_u32(&mut body, fds.len() as u32);
+        put_u32(body, fds.len() as u32);
         for (golden, live) in fds {
-            wire::put_u64(&mut body, *golden);
-            wire::put_u64(&mut body, live.fd);
-            wire::put_str(&mut body, &live.path);
+            put_u64(body, *golden);
+            put_u64(body, live.fd);
+            put_str(body, &live.path);
         }
         let image = point.fs.export_image(&mut |page| blobs.put(page));
-        wire::put_u32(&mut body, image.len() as u32);
+        put_u32(body, image.len() as u32);
         body.extend_from_slice(&image);
     }
-
-    let mut out = Vec::with_capacity(body.len() + 28);
-    out.extend_from_slice(MANIFEST_MAGIC);
-    wire::put_u32(&mut out, MANIFEST_SCHEMA);
-    wire::put_u64(&mut out, key);
-    wire::put_u32(&mut out, body.len() as u32);
-    wire::put_u32(&mut out, crc32(&body));
-    out.extend_from_slice(&body);
-    out
 }
 
 /// Decode and fully verify a manifest file: frame magic/schema/key,
@@ -1679,26 +1660,24 @@ fn encode_manifest(key: u64, cks: &TraceCheckpoints, blobs: &BlobStore) -> Vec<u
 /// the blob store). Any failure yields `None`; callers treat that as a
 /// cache miss and rebuild.
 fn decode_manifest(raw: &[u8], key: u64, blobs: &BlobStore) -> Option<TraceCheckpoints> {
-    let mut r = wire::Reader::new(raw);
+    let mut r = Reader::new(raw);
     if r.bytes(MANIFEST_MAGIC.len())? != MANIFEST_MAGIC
         || r.u32()? != MANIFEST_SCHEMA
         || r.u64()? != key
     {
         return None;
     }
-    let body_len = r.u32()? as usize;
-    let body_crc = r.u32()?;
-    let body = r.bytes(body_len)?;
-    if r.remaining() != 0 || crc32(body) != body_crc {
+    let body = r.frame()?;
+    if r.remaining() != 0 {
         return None;
     }
 
-    let mut r = wire::Reader::new(body);
+    let mut r = Reader::new(body);
     let placement = match r.u8()? {
         0 => Placement::LogSpaced,
         1 => {
-            let n_demand = r.u32()? as usize;
-            let mut demand = Vec::with_capacity(n_demand.min(1 << 16));
+            let n_demand = r.count::<u32>(8)?;
+            let mut demand = Vec::with_capacity(n_demand);
             for _ in 0..n_demand {
                 demand.push(r.u64()? as usize);
             }
@@ -1706,8 +1685,10 @@ fn decode_manifest(raw: &[u8], key: u64, blobs: &BlobStore) -> Option<TraceCheck
         }
         _ => return None,
     };
-    let n_ops = r.u32()? as usize;
-    let mut ops = Vec::with_capacity(n_ops.min(1 << 16));
+    // Minimum encoded sizes: an op is 5 bytes (tag and an empty path),
+    // a checkpoint 20, a counter 8, a cursor entry 20.
+    let n_ops = r.count::<u32>(5)?;
+    let mut ops = Vec::with_capacity(n_ops);
     for _ in 0..n_ops {
         ops.push(decode_op(&mut r, blobs)?);
     }
@@ -1715,22 +1696,22 @@ fn decode_manifest(raw: &[u8], key: u64, blobs: &BlobStore) -> Option<TraceCheck
     // Pages are shared across checkpoints in memory exactly as a fresh
     // build's CoW forks would share them: one Arc per distinct hash.
     let mut page_cache: HashMap<[u8; 32], Arc<Page>> = HashMap::new();
-    let n_points = r.u32()? as usize;
-    let mut points = Vec::with_capacity(n_points.min(1 << 10));
+    let n_points = r.count::<u32>(20)?;
+    let mut points = Vec::with_capacity(n_points);
     for _ in 0..n_points {
         let index = r.u64()? as usize;
-        let n_counts = r.u32()? as usize;
-        let mut counts = Vec::with_capacity(n_counts.min(64));
+        let n_counts = r.count::<u32>(8)?;
+        let mut counts = Vec::with_capacity(n_counts);
         for _ in 0..n_counts {
             counts.push(r.u64()?);
         }
         let counters = CounterSnapshot::from_raw(&counts)?;
-        let n_fds = r.u32()? as usize;
-        let mut fds = HashMap::with_capacity(n_fds.min(1 << 10));
+        let n_fds = r.count::<u32>(20)?;
+        let mut fds = HashMap::with_capacity(n_fds);
         for _ in 0..n_fds {
             let golden = r.u64()?;
             let fd = r.u64()?;
-            let path = r.str_()?;
+            let path = r.str()?;
             fds.insert(golden, ReplayFd { fd, path });
         }
         let image_len = r.u32()? as usize;
@@ -1903,7 +1884,7 @@ impl CheckpointStore {
         let mut h = Fnv::new();
         h.eat_u64(trace_fingerprint(&ops));
         h.eat_u64(demand_fingerprint(&sorted));
-        self.get_or_build_keyed(h.0, ops, Some(sorted))
+        self.get_or_build_keyed(h.finish(), ops, Some(sorted))
     }
 
     /// Single-flighted lookup/build for one `(trace, placement)` key.
@@ -2007,15 +1988,7 @@ impl CheckpointStore {
     fn persist(&self, key: u64, cks: &TraceCheckpoints) {
         let Some(disk) = self.disk.as_ref() else { return };
         let Some(path) = self.manifest_path(key) else { return };
-        let bytes = encode_manifest(key, cks, &disk.blobs);
-        let tmp = disk.manifests.join(format!(".tmp-{}-{key:016x}", std::process::id()));
-        if std::fs::write(&tmp, &bytes).is_ok() {
-            if std::fs::rename(&tmp, &path).is_err() {
-                let _ = std::fs::remove_file(&tmp);
-            }
-        } else {
-            let _ = std::fs::remove_file(&tmp);
-        }
+        let _ = codec::install(&path, &encode_manifest(key, cks, &disk.blobs));
     }
 
     /// Number of checkpoint caches built by trace replay (misses in
@@ -2084,6 +2057,29 @@ mod tests {
         assert_eq!(ffs.read_to_vec("/out/data.bin").unwrap().len(), 10_000);
         ffs.unmount();
         (rec.ops(), base)
+    }
+
+    /// A write op's payload length is checked against its chunk count
+    /// before it sizes the payload buffer. The peak address-space
+    /// probe shows the 4-GiB reservation an unchecked length costs.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn write_op_with_a_huge_length_is_rejected_before_allocating() {
+        let vm_peak_kib = || -> u64 {
+            let status = std::fs::read_to_string("/proc/self/status").unwrap();
+            let line = status.lines().find(|l| l.starts_with("VmPeak:")).unwrap();
+            line.split_whitespace().nth(1).unwrap().parse().unwrap()
+        };
+        let mut op = Vec::new();
+        put_u8(&mut op, 9); // write
+        put_u64(&mut op, 3);
+        put_u8(&mut op, 0); // no path
+        put_u8(&mut op, 0); // cursor write
+        put_u32(&mut op, u32::MAX); // payload length
+        put_u32(&mut op, 0); // no chunks
+        let before = vm_peak_kib();
+        assert_eq!(decode_op(&mut Reader::new(&op), &BlobStore::in_memory()), None);
+        assert!(vm_peak_kib() - before < 1 << 20, "decode reserved over 1 GiB");
     }
 
     /// Byte pin: the checkpoint manifest of a 3-op trace (frame header
@@ -2368,11 +2364,11 @@ mod tests {
         assert_eq!(entries[2].prim_seq, 3);
         // The failed attempt occupies its slot with no returned bytes.
         assert_eq!(entries[1].returned, None);
-        assert_eq!(entries[1].fingerprint, Fnv::new().0);
+        assert_eq!(entries[1].fingerprint, Fnv::new().finish());
         // Successful reads of the same bytes fingerprint identically.
         assert_eq!(entries[0].returned, entries[2].returned);
         assert_eq!(entries[0].fingerprint, entries[2].fingerprint);
-        assert_ne!(entries[0].fingerprint, Fnv::new().0);
+        assert_ne!(entries[0].fingerprint, Fnv::new().finish());
         // Paths resolve through the mount's fd tracking.
         assert_eq!(entries[0].path.as_deref(), Some("/d.bin"));
     }
