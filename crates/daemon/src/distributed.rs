@@ -42,6 +42,7 @@ use std::time::{Duration, Instant};
 
 use ffis_core::engine::{index_ranges, journal, merge_segments};
 use ffis_core::{CampaignError, CampaignResult, CampaignSpec};
+use ffis_vfs::codec::install;
 use ffis_vfs::{CheckpointStore, MemoStore};
 
 use crate::api;
@@ -388,7 +389,7 @@ pub fn run_distributed(
     let mut worker_spec = spec.clone();
     worker_spec.journal = true;
     let spec_path = work_dir.join("spec.json");
-    std::fs::write(&spec_path, api::spec_to_json(&worker_spec).render())
+    install(&spec_path, api::spec_to_json(&worker_spec).render().as_bytes())
         .map_err(|e| setup(format!("write spec: {}", e)))?;
 
     let ranges = index_ranges(spec.runs, workers);

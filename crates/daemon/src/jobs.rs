@@ -11,6 +11,10 @@
 //! | `result.json` | at terminal state | final [`JobView`] (`complete`/`failed`) |
 //! | `cancelled` | on `DELETE` | operator cancelled; do not auto-resume |
 //!
+//! The two JSON files land through [`ffis_vfs::codec::install`] (temp
+//! file plus rename), so a kill mid-write leaves the previous state,
+//! never a torn document.
+//!
 //! The queue is persistent *by construction*: a job is its spec file
 //! plus its journal. [`JobQueue::open`] re-lists the directory, loads
 //! terminal results as-is, and re-enqueues every non-terminal job with
@@ -31,6 +35,7 @@ use std::thread::JoinHandle;
 
 use ffis_core::engine::job::{CampaignSpec, JobFailure, JobState};
 use ffis_core::{CancelToken, CompletionStatus, RunObserver};
+use ffis_vfs::codec::install;
 use ffis_vfs::{CheckpointStore, MemoStore};
 
 use crate::api::{self, JobView};
@@ -225,7 +230,7 @@ impl JobQueue {
         inner.next_id += 1;
         let dir = self.job_dir(id);
         std::fs::create_dir_all(&dir).map_err(|e| format!("persist job {}: {}", id, e))?;
-        std::fs::write(dir.join("spec.json"), api::spec_to_json(&spec).render())
+        install(&dir.join("spec.json"), api::spec_to_json(&spec).render().as_bytes())
             .map_err(|e| format!("persist job {}: {}", id, e))?;
         inner.jobs.insert(
             id,
@@ -532,7 +537,8 @@ impl JobQueue {
         }
         let terminal = matches!(job.view.state, JobState::Complete | JobState::Failed);
         if terminal {
-            let _ = std::fs::write(dir.join("result.json"), api::job_to_json(&job.view).render());
+            let _ =
+                install(&dir.join("result.json"), api::job_to_json(&job.view).render().as_bytes());
         }
         let done = api::done_line(&job.view);
         for tx in job.subscribers.drain(..) {

@@ -99,7 +99,13 @@ impl Json {
         }
     }
 
-    /// Render to a compact wire string.
+    /// An object from `(key, value)` members, in order.
+    pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// Render to a compact wire string. Non-finite numbers render as
+    /// `null`.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out);
@@ -111,6 +117,8 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
+            // JSON has no NaN or infinity.
+            Json::Num(n) if !n.is_finite() => out.push_str("null"),
             Json::Num(n) => {
                 if n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0 {
                     let _ = write!(out, "{}", *n as i64);
@@ -352,6 +360,16 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn non_finite_numbers_render_as_null() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Json::Num(n).render(), "null");
+        }
+        let doc = Json::obj([("a", Json::Num(f64::NAN)), ("b", Json::Num(2.5))]);
+        assert_eq!(doc.render(), "{\"a\":null,\"b\":2.5}");
+        assert!(parse(&doc.render()).is_ok());
+    }
 
     #[test]
     fn values_round_trip() {
