@@ -1901,11 +1901,11 @@ fn decode_memo_run(bytes: &[u8]) -> Option<MemoRunEntry> {
     let body = match r.u8()? {
         0 => Err(r.str()?),
         1 => {
-            let n = r.count::<u64>(16)?;
+            let n = r.count_u64(16)?;
             let mut arts = Vec::with_capacity(n);
             for _ in 0..n {
                 let i = r.u64()? as usize;
-                let len = r.count::<u64>(1)?;
+                let len = r.count_u64(1)?;
                 arts.push((i, r.bytes(len)?.to_vec()));
             }
             Ok(arts)

@@ -482,7 +482,7 @@ fn encode_final(img: &FinalImage) -> Vec<u8> {
 fn decode_final(b: &[u8]) -> Result<FinalImage, String> {
     let mut r = Reader::new(b);
     let mut take = || {
-        let len = r.count::<u64>(1)?;
+        let len = r.count_u64(1)?;
         let img = FinalImage {
             bytes: r.bytes(len)?.to_vec(),
             min: r.f64()?,

@@ -254,7 +254,7 @@ fn decode_catalog(b: &[u8]) -> Result<([usize; 3], HaloCatalog), String> {
         let dims = [r.u64()? as usize, r.u64()? as usize, r.u64()? as usize];
         let (mean, threshold, candidate_cells) = (r.f64()?, r.f64()?, r.u64()?);
         // A halo encodes to 36 bytes: centre, cell count, mass.
-        let n_halos = r.count::<u64>(36)?;
+        let n_halos = r.count_u64(36)?;
         let mut halos = Vec::with_capacity(n_halos);
         for _ in 0..n_halos {
             let center = [r.f64()?, r.f64()?, r.f64()?];

@@ -402,7 +402,7 @@ fn encode_segment(s001_bytes: &[u8], qmca: &QmcaResult) -> Vec<u8> {
 fn decode_segment(b: &[u8]) -> Result<(Vec<u8>, QmcaResult), String> {
     let mut r = Reader::new(b);
     let mut take = || {
-        let len = r.count::<u64>(1)?;
+        let len = r.count_u64(1)?;
         let s001_bytes = r.bytes(len)?.to_vec();
         let qmca = QmcaResult { energy: r.f64()?, error: r.f64()?, rows_used: r.u64()? as usize };
         (r.remaining() == 0).then_some((s001_bytes, qmca))

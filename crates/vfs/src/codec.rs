@@ -76,24 +76,6 @@ pub fn put_frame(buf: &mut Vec<u8>, write_body: impl FnOnce(&mut Vec<u8>)) {
     buf[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Width of the item-count prefix [`Reader::count`] reads.
-pub trait CountPrefix {
-    /// Take the prefix as a `u64`.
-    fn take(r: &mut Reader<'_>) -> Option<u64>;
-}
-
-impl CountPrefix for u32 {
-    fn take(r: &mut Reader<'_>) -> Option<u64> {
-        r.u32().map(u64::from)
-    }
-}
-
-impl CountPrefix for u64 {
-    fn take(r: &mut Reader<'_>) -> Option<u64> {
-        r.u64()
-    }
-}
-
 /// Bounds-checked sequential reader over encoded bytes. Every accessor
 /// returns `None` instead of panicking, so a torn or bit-rotted input
 /// decodes to "corrupt".
@@ -160,12 +142,24 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Take an item count of width `N` and accept it only when the
-    /// remaining bytes could hold that many items of at least
-    /// `min_item_bytes` each — the guard that keeps a corrupt count
-    /// from sizing an allocation.
-    pub fn count<N: CountPrefix>(&mut self, min_item_bytes: usize) -> Option<usize> {
-        let n = usize::try_from(N::take(self)?).ok()?;
+    /// Take a `u32` item count and accept it only when the remaining
+    /// bytes could hold that many items of at least `min_item_bytes`
+    /// each — the guard that keeps a corrupt count from sizing an
+    /// allocation.
+    pub fn count(&mut self, min_item_bytes: usize) -> Option<usize> {
+        let n = self.u32()?;
+        self.fits(u64::from(n), min_item_bytes)
+    }
+
+    /// [`Reader::count`] for a `u64` count (also a `u64` byte length,
+    /// with `min_item_bytes` 1).
+    pub fn count_u64(&mut self, min_item_bytes: usize) -> Option<usize> {
+        let n = self.u64()?;
+        self.fits(n, min_item_bytes)
+    }
+
+    fn fits(&self, n: u64, min_item_bytes: usize) -> Option<usize> {
+        let n = usize::try_from(n).ok()?;
         (n.checked_mul(min_item_bytes)? <= self.remaining()).then_some(n)
     }
 
@@ -307,17 +301,17 @@ mod tests {
         let mut buf = Vec::new();
         put_u32(&mut buf, 2);
         buf.extend_from_slice(&[0; 16]);
-        assert_eq!(Reader::new(&buf).count::<u32>(8), Some(2));
-        assert_eq!(Reader::new(&buf).count::<u32>(9), None);
+        assert_eq!(Reader::new(&buf).count(8), Some(2));
+        assert_eq!(Reader::new(&buf).count(9), None);
         // One byte of input behind the largest count either width can
         // carry.
         let mut huge = u32::MAX.to_le_bytes().to_vec();
         huge.push(0);
-        assert_eq!(Reader::new(&huge).count::<u32>(1), None);
+        assert_eq!(Reader::new(&huge).count(1), None);
         let mut huge = u64::MAX.to_le_bytes().to_vec();
         huge.push(0);
-        assert_eq!(Reader::new(&huge).count::<u64>(1), None);
-        assert_eq!(Reader::new(&huge).count::<u64>(usize::MAX), None);
+        assert_eq!(Reader::new(&huge).count_u64(1), None);
+        assert_eq!(Reader::new(&huge).count_u64(usize::MAX), None);
     }
 
     #[test]

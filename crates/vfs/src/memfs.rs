@@ -267,7 +267,7 @@ impl MemFs {
 
         // Minimum encoded sizes: an inode header is 34 bytes, a page
         // address 32, a directory entry 12, a handle 26, a lock 13.
-        let n_inodes = r.count::<u32>(34)?;
+        let n_inodes = r.count(34)?;
         let mut inodes = HashMap::with_capacity(n_inodes);
         for _ in 0..n_inodes {
             let ino = r.u64()?;
@@ -279,7 +279,7 @@ impl MemFs {
             let data = match r.u8()? {
                 0 => {
                     let len = r.u64()?;
-                    let n_pages = r.count::<u32>(32)?;
+                    let n_pages = r.count(32)?;
                     let mut pages = Vec::with_capacity(n_pages);
                     for _ in 0..n_pages {
                         let hash: [u8; 32] = r.bytes(32)?.try_into().ok()?;
@@ -288,7 +288,7 @@ impl MemFs {
                     NodeData::Bytes(SectorFile::from_pages(pages, len)?)
                 }
                 1 => {
-                    let n = r.count::<u32>(12)?;
+                    let n = r.count(12)?;
                     let mut map = BTreeMap::new();
                     for _ in 0..n {
                         let name = r.str()?;
@@ -306,7 +306,7 @@ impl MemFs {
             return None;
         }
 
-        let n_handles = r.count::<u32>(26)?;
+        let n_handles = r.count(26)?;
         let mut handles = HashMap::with_capacity(n_handles);
         for _ in 0..n_handles {
             let fd = r.u64()?;
@@ -317,7 +317,7 @@ impl MemFs {
             handles.insert(fd, Handle { ino, flags, cursor, lock });
         }
 
-        let n_locks = r.count::<u32>(13)?;
+        let n_locks = r.count(13)?;
         let mut locks = HashMap::with_capacity(n_locks);
         for _ in 0..n_locks {
             let ino = r.u64()?;

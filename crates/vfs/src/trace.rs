@@ -199,7 +199,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::blobs::{BlobStats, BlobStore};
-use crate::codec::{self, put_str, put_u32, put_u64, put_u8, Fnv, Reader};
+use crate::codec::{self, put_opt_str, put_str, put_u32, put_u64, put_u8, Fnv, Reader};
 use crate::error::{FsError, FsResult};
 use crate::ffisfs::{CounterSnapshot, FfisFs};
 use crate::file::{Page, BLOCK_SIZE};
@@ -1493,13 +1493,7 @@ fn encode_op(op: &TraceOp, blobs: &BlobStore, buf: &mut Vec<u8>) {
         TraceOp::Write { fd, path, offset, data } => {
             put_u8(buf, 9);
             put_u64(buf, *fd);
-            match path {
-                Some(p) => {
-                    put_u8(buf, 1);
-                    put_str(buf, p);
-                }
-                None => put_u8(buf, 0),
-            }
+            put_opt_str(buf, path.as_deref());
             match offset {
                 Some(o) => {
                     put_u8(buf, 1);
@@ -1561,18 +1555,14 @@ fn decode_op(r: &mut Reader<'_>, blobs: &BlobStore) -> Option<TraceOp> {
         }
         9 => {
             let fd = r.u64()?;
-            let path = match r.u8()? {
-                0 => None,
-                1 => Some(r.str()?),
-                _ => return None,
-            };
+            let path = r.opt_str()?;
             let offset = match r.u8()? {
                 0 => None,
                 1 => Some(r.u64()?),
                 _ => return None,
             };
             let total = r.u32()? as usize;
-            let n_chunks = r.count::<u32>(32)?;
+            let n_chunks = r.count(32)?;
             if total > n_chunks * BLOCK_SIZE {
                 return None;
             }
@@ -1676,7 +1666,7 @@ fn decode_manifest(raw: &[u8], key: u64, blobs: &BlobStore) -> Option<TraceCheck
     let placement = match r.u8()? {
         0 => Placement::LogSpaced,
         1 => {
-            let n_demand = r.count::<u32>(8)?;
+            let n_demand = r.count(8)?;
             let mut demand = Vec::with_capacity(n_demand);
             for _ in 0..n_demand {
                 demand.push(r.u64()? as usize);
@@ -1687,7 +1677,7 @@ fn decode_manifest(raw: &[u8], key: u64, blobs: &BlobStore) -> Option<TraceCheck
     };
     // Minimum encoded sizes: an op is 5 bytes (tag and an empty path),
     // a checkpoint 20, a counter 8, a cursor entry 20.
-    let n_ops = r.count::<u32>(5)?;
+    let n_ops = r.count(5)?;
     let mut ops = Vec::with_capacity(n_ops);
     for _ in 0..n_ops {
         ops.push(decode_op(&mut r, blobs)?);
@@ -1696,17 +1686,17 @@ fn decode_manifest(raw: &[u8], key: u64, blobs: &BlobStore) -> Option<TraceCheck
     // Pages are shared across checkpoints in memory exactly as a fresh
     // build's CoW forks would share them: one Arc per distinct hash.
     let mut page_cache: HashMap<[u8; 32], Arc<Page>> = HashMap::new();
-    let n_points = r.count::<u32>(20)?;
+    let n_points = r.count(20)?;
     let mut points = Vec::with_capacity(n_points);
     for _ in 0..n_points {
         let index = r.u64()? as usize;
-        let n_counts = r.count::<u32>(8)?;
+        let n_counts = r.count(8)?;
         let mut counts = Vec::with_capacity(n_counts);
         for _ in 0..n_counts {
             counts.push(r.u64()?);
         }
         let counters = CounterSnapshot::from_raw(&counts)?;
-        let n_fds = r.count::<u32>(20)?;
+        let n_fds = r.count(20)?;
         let mut fds = HashMap::with_capacity(n_fds);
         for _ in 0..n_fds {
             let golden = r.u64()?;

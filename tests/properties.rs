@@ -1007,3 +1007,226 @@ proptest! {
         prop_assert_eq!(kept, kept_again);
     }
 }
+
+/// The engine's own durable state under the paper's damage: a fresh
+/// scratch directory per property case.
+fn durable_case_dir(tag: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("ffis-prop-{tag}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Every regular file under `dir`, sorted (store shards nest).
+fn files_under(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut out = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in std::fs::read_dir(&d).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                stack.push(path);
+            } else {
+                out.push(path);
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// Damage one file the way the paper's models damage application
+/// files: flip one bit, or truncate it (a torn or shorn write). `at`
+/// picks the bit or the new length.
+fn damage_file(path: &std::path::Path, flip: bool, at: u64) {
+    let mut bytes = std::fs::read(path).unwrap();
+    if bytes.is_empty() {
+        return;
+    }
+    if flip {
+        let bit = at % (bytes.len() as u64 * 8);
+        bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+    } else {
+        bytes.truncate((at % bytes.len() as u64) as usize);
+    }
+    std::fs::write(path, bytes).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A run journal with one flipped bit or a torn tail reopens as a
+    /// clean error or as an exact prefix of the journaled runs — never
+    /// a panic, never an altered record.
+    #[test]
+    fn damaged_journal_reopens_as_a_prefix_or_an_error(
+        n in 1usize..6,
+        flip in any::<bool>(),
+        at in any::<u64>(),
+    ) {
+        use ffis_core::engine::journal::scan;
+        use ffis_core::{JournalEntry, JournalMeta, RunJournal, OUTCOMES};
+
+        let dir = durable_case_dir("journal");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.journal");
+        let meta = JournalMeta {
+            fingerprint: 0xF00D,
+            seed: 9,
+            runs: n as u64,
+            shards: 1,
+            context: "prop".into(),
+        };
+        let originals: Vec<JournalEntry> = (0..n)
+            .map(|i| JournalEntry {
+                index: i,
+                outcome: OUTCOMES[i % OUTCOMES.len()],
+                fired: i % 2 == 0,
+                payload: format!("payload-{i}").into_bytes(),
+            })
+            .collect();
+        let mut journal = RunJournal::create(&path, meta.clone()).unwrap();
+        for e in &originals {
+            prop_assert!(journal.append(e.index, e.outcome, e.fired, &e.payload));
+        }
+        drop(journal);
+        damage_file(&path, flip, at);
+
+        let _ = scan(&path);
+        if let Ok((journal, entries)) = RunJournal::resume(&path, &meta) {
+            let kept: Vec<JournalEntry> = entries.into_values().collect();
+            prop_assert_eq!(&kept[..], &originals[..kept.len()]);
+            prop_assert_eq!(journal.records(), kept.len() as u64);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A blob store file with one flipped bit or a torn tail reads back
+    /// as a miss or as the exact original bytes.
+    #[test]
+    fn damaged_blob_file_is_a_miss_or_the_original(
+        blobs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..600), 1..4),
+        victim in any::<proptest::sample::Index>(),
+        flip in any::<bool>(),
+        at in any::<u64>(),
+    ) {
+        use ffis_vfs::BlobStore;
+
+        let dir = durable_case_dir("blobs");
+        let store = BlobStore::at_dir(&dir).unwrap();
+        let hashes: Vec<_> = blobs.iter().map(|b| store.put(b)).collect();
+        drop(store);
+        let files = files_under(&dir);
+        damage_file(&files[victim.index(files.len())], flip, at);
+
+        let fresh = BlobStore::at_dir(&dir).unwrap();
+        for (hash, original) in hashes.iter().zip(&blobs) {
+            if let Some(got) = fresh.get(hash) {
+                prop_assert_eq!(got.as_slice(), original.as_slice());
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A memo store file (index frame or value blob) with one flipped
+    /// bit or a torn tail reads back as a miss or the exact value.
+    #[test]
+    fn damaged_memo_file_is_a_miss_or_the_original(
+        values in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..300), 1..4),
+        victim in any::<proptest::sample::Index>(),
+        flip in any::<bool>(),
+        at in any::<u64>(),
+    ) {
+        use ffis_vfs::MemoStore;
+
+        let dir = durable_case_dir("memo");
+        let store = MemoStore::at_dir(&dir).unwrap();
+        for (i, v) in values.iter().enumerate() {
+            store.put(format!("key-{i}").as_bytes(), v);
+        }
+        drop(store);
+        let files = files_under(&dir);
+        damage_file(&files[victim.index(files.len())], flip, at);
+
+        let fresh = MemoStore::at_dir(&dir).unwrap();
+        for (i, v) in values.iter().enumerate() {
+            if let Some(got) = fresh.get(format!("key-{i}").as_bytes()) {
+                prop_assert_eq!(got.as_slice(), v.as_slice());
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint store file (manifest or page blob) with one flipped
+    /// bit or a torn tail either loads checkpoints that replay to the
+    /// exact reference state or is discarded and rebuilt.
+    #[test]
+    fn damaged_checkpoint_store_loads_the_original_or_rebuilds(
+        seed in any::<u64>(),
+        victim in any::<proptest::sample::Index>(),
+        flip in any::<bool>(),
+        at in any::<u64>(),
+    ) {
+        use ffis_vfs::CheckpointStore;
+
+        let (ops, reference, paths) = record_replay_workload(seed, 1);
+        let dir = durable_case_dir("checkpoints");
+        CheckpointStore::with_dir(&dir).unwrap().get_or_build(ops.clone()).unwrap();
+        let files = files_under(&dir);
+        damage_file(&files[victim.index(files.len())], flip, at);
+
+        let fresh = CheckpointStore::with_dir(&dir).unwrap();
+        let cache = fresh.get_or_build(ops.clone()).unwrap();
+        prop_assert_eq!(fresh.builds() + fresh.disk_hits(), 1);
+        prop_assert_eq!(cache.ops(), &ops[..]);
+        for point in cache.points() {
+            let (mount, mut cursor) = point.mount_fork();
+            cursor.replay(&*mount, cache.suffix(point)).unwrap();
+            for p in &paths {
+                prop_assert_eq!(mount.read_to_vec(p).ok(), reference.read_to_vec(p).ok());
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Arbitrary bytes through every `codec::Reader` accessor, in any
+    /// order: no panic, a successful read consumes exactly its
+    /// encoding, and an accepted count fits the bytes that remain.
+    #[test]
+    fn codec_reader_accessors_never_panic(
+        data in proptest::collection::vec(any::<u8>(), 0..96),
+        steps in proptest::collection::vec(0u8..10, 0..24),
+        k in 0usize..40,
+    ) {
+        use ffis_vfs::codec::Reader;
+
+        let mut r = Reader::new(&data);
+        for step in steps {
+            let before = r.remaining();
+            let consumed = match step {
+                0 => r.u8().map(|_| 1),
+                1 => r.u32().map(|_| 4),
+                2 => r.u64().map(|_| 8),
+                3 => r.f64().map(|_| 8),
+                4 => r.str().map(|s| 4 + s.len()),
+                5 => r.opt_str().map(|s| 1 + s.map_or(0, |s| 4 + s.len())),
+                6 => r.bytes(k).map(<[u8]>::len),
+                7 => r.count(k).map(|n| {
+                    assert!(n * k <= r.remaining());
+                    4
+                }),
+                8 => r.count_u64(k).map(|n| {
+                    assert!(n * k <= r.remaining());
+                    8
+                }),
+                _ => r.frame().map(|body| 8 + body.len()),
+            };
+            prop_assert!(r.remaining() <= before);
+            if let Some(c) = consumed {
+                prop_assert_eq!(before - r.remaining(), c);
+            }
+        }
+    }
+}
