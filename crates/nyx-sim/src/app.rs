@@ -409,19 +409,6 @@ mod tests {
     /// Byte pin: one plotfile catalog artifact. Memo stores written by
     /// any earlier build must keep reopening, so these bytes are frozen.
     #[test]
-    fn catalog_with_a_huge_halo_count_is_an_error() {
-        let mut bytes = encode_catalog(
-            [1, 1, 1],
-            &HaloCatalog { mean: 0.0, threshold: 0.0, candidate_cells: 0, halos: Vec::new() },
-        );
-        bytes.truncate(48);
-        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
-        bytes.push(0);
-        assert!(decode_catalog(&bytes).is_err());
-        assert!(decode_catalog(&[0xFF]).is_err());
-    }
-
-    #[test]
     fn catalog_artifact_bytes_are_pinned() {
         let halo = Halo { center: [0.5, 1.0, 1.5], cells: 3, mass: 4.25 };
         let catalog =
@@ -441,6 +428,19 @@ mod tests {
         assert_eq!(hex(&bytes), pinned);
         let (dims, back) = decode_catalog(&bytes).unwrap();
         assert_eq!(encode_catalog(dims, &back), bytes);
+    }
+
+    #[test]
+    fn catalog_with_a_huge_halo_count_is_an_error() {
+        let mut bytes = encode_catalog(
+            [1, 1, 1],
+            &HaloCatalog { mean: 0.0, threshold: 0.0, candidate_cells: 0, halos: Vec::new() },
+        );
+        bytes.truncate(48);
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        bytes.push(0);
+        assert!(decode_catalog(&bytes).is_err());
+        assert!(decode_catalog(&[0xFF]).is_err());
     }
 
     #[test]

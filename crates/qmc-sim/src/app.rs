@@ -602,14 +602,6 @@ mod tests {
     /// Byte pin: one restart-segment artifact. Memo stores written by
     /// any earlier build must keep reopening, so these bytes are frozen.
     #[test]
-    fn segment_with_a_huge_length_is_an_error() {
-        let mut bytes = u64::MAX.to_le_bytes().to_vec();
-        bytes.push(0);
-        assert!(decode_segment(&bytes).is_err());
-        assert!(decode_segment(&[0xFF]).is_err());
-    }
-
-    #[test]
     fn segment_artifact_bytes_are_pinned() {
         let qmca = QmcaResult { energy: -2.5, error: 0.25, rows_used: 7 };
         let bytes = encode_segment(b"s001", &qmca);
@@ -624,6 +616,14 @@ mod tests {
         assert_eq!(hex(&bytes), pinned);
         let (s001, back) = decode_segment(&bytes).unwrap();
         assert_eq!(encode_segment(&s001, &back), bytes);
+    }
+
+    #[test]
+    fn segment_with_a_huge_length_is_an_error() {
+        let mut bytes = u64::MAX.to_le_bytes().to_vec();
+        bytes.push(0);
+        assert!(decode_segment(&bytes).is_err());
+        assert!(decode_segment(&[0xFF]).is_err());
     }
 
     #[test]
