@@ -14,29 +14,25 @@ use ffis_core::{Outcome, OutcomeTally, RunAborted, RunResult};
 
 use crate::json::{parse, u64_value, Json};
 
-fn field(name: &str, value: Json) -> (String, Json) {
-    (name.to_string(), value)
-}
-
 /// Encode a spec (round-trips through [`spec_from_json`]).
 pub fn spec_to_json(spec: &CampaignSpec) -> Json {
     let opt_u64 = |v: Option<u64>| v.map(u64_value).unwrap_or(Json::Null);
-    Json::Obj(vec![
-        field("app", Json::Str(spec.app.clone())),
-        field("model", Json::Str(spec.model.clone())),
-        field("site", Json::Str(spec.site.clone())),
-        field("grid", u64_value(spec.grid as u64)),
-        field("files", u64_value(spec.files as u64)),
-        field("memo", Json::Bool(spec.memo)),
-        field("replay_opt", Json::Bool(spec.replay_opt)),
-        field("runs", u64_value(spec.runs as u64)),
-        field("seed", u64_value(spec.seed)),
-        field("keep_runs", opt_u64(spec.keep_runs.map(|v| v as u64))),
-        field("parallel", Json::Bool(spec.parallel)),
-        field("fuel", opt_u64(spec.fuel)),
-        field("wall_limit_ms", opt_u64(spec.wall_limit_ms)),
-        field("journal", Json::Bool(spec.journal)),
-        field("resume", Json::Bool(spec.resume)),
+    Json::obj([
+        ("app", Json::Str(spec.app.clone())),
+        ("model", Json::Str(spec.model.clone())),
+        ("site", Json::Str(spec.site.clone())),
+        ("grid", u64_value(spec.grid as u64)),
+        ("files", u64_value(spec.files as u64)),
+        ("memo", Json::Bool(spec.memo)),
+        ("replay_opt", Json::Bool(spec.replay_opt)),
+        ("runs", u64_value(spec.runs as u64)),
+        ("seed", u64_value(spec.seed)),
+        ("keep_runs", opt_u64(spec.keep_runs.map(|v| v as u64))),
+        ("parallel", Json::Bool(spec.parallel)),
+        ("fuel", opt_u64(spec.fuel)),
+        ("wall_limit_ms", opt_u64(spec.wall_limit_ms)),
+        ("journal", Json::Bool(spec.journal)),
+        ("resume", Json::Bool(spec.resume)),
     ])
 }
 
@@ -111,12 +107,12 @@ fn opt_u64_field(v: &Json, key: &str) -> Result<Option<u64>, String> {
 
 /// Encode a tally.
 pub fn tally_to_json(tally: &OutcomeTally) -> Json {
-    Json::Obj(vec![
-        field("benign", u64_value(tally.benign)),
-        field("detected", u64_value(tally.detected)),
-        field("sdc", u64_value(tally.sdc)),
-        field("crash", u64_value(tally.crash)),
-        field("no_fire", u64_value(tally.no_fire)),
+    Json::obj([
+        ("benign", u64_value(tally.benign)),
+        ("detected", u64_value(tally.detected)),
+        ("sdc", u64_value(tally.sdc)),
+        ("crash", u64_value(tally.crash)),
+        ("no_fire", u64_value(tally.no_fire)),
     ])
 }
 
@@ -135,14 +131,14 @@ pub fn tally_from_json(value: &Json) -> OutcomeTally {
 /// Encode a structured failure reason.
 pub fn failure_to_json(failure: &JobFailure) -> Json {
     let mut members = vec![
-        field("kind", Json::Str(failure.kind().into())),
-        field("message", Json::Str(failure.to_string())),
+        ("kind", Json::Str(failure.kind().into())),
+        ("message", Json::Str(failure.to_string())),
     ];
     if let JobFailure::PlanMismatch { found, expected } = failure {
-        members.push(field("found", u64_value(*found)));
-        members.push(field("expected", u64_value(*expected)));
+        members.push(("found", u64_value(*found)));
+        members.push(("expected", u64_value(*expected)));
     }
-    Json::Obj(members)
+    Json::obj(members)
 }
 
 /// Decode a failure reason written by [`failure_to_json`].
@@ -230,22 +226,22 @@ impl JobView {
 /// Encode a job view (round-trips through [`job_from_json`]).
 pub fn job_to_json(job: &JobView) -> Json {
     let opt_u64 = |v: Option<u64>| v.map(u64_value).unwrap_or(Json::Null);
-    Json::Obj(vec![
-        field("id", u64_value(job.id)),
-        field("state", Json::Str(job.state.token().into())),
-        field("spec", spec_to_json(&job.spec)),
-        field("executed", u64_value(job.executed as u64)),
-        field("resumed", u64_value(job.resumed as u64)),
-        field("tally", tally_to_json(&job.tally)),
-        field("fuel_exhausted", u64_value(job.fuel_exhausted)),
-        field("deadline_exceeded", u64_value(job.deadline_exceeded)),
-        field("memo_hits", u64_value(job.memo_hits)),
-        field("memo_misses", u64_value(job.memo_misses)),
-        field("memo_invalidations", u64_value(job.memo_invalidations)),
-        field("memo_reason", job.memo_reason.clone().map(Json::Str).unwrap_or(Json::Null)),
-        field("plan_fingerprint", opt_u64(job.plan_fingerprint)),
-        field("run_digest", opt_u64(job.run_digest)),
-        field("failure", job.failure.as_ref().map(failure_to_json).unwrap_or(Json::Null)),
+    Json::obj([
+        ("id", u64_value(job.id)),
+        ("state", Json::Str(job.state.token().into())),
+        ("spec", spec_to_json(&job.spec)),
+        ("executed", u64_value(job.executed as u64)),
+        ("resumed", u64_value(job.resumed as u64)),
+        ("tally", tally_to_json(&job.tally)),
+        ("fuel_exhausted", u64_value(job.fuel_exhausted)),
+        ("deadline_exceeded", u64_value(job.deadline_exceeded)),
+        ("memo_hits", u64_value(job.memo_hits)),
+        ("memo_misses", u64_value(job.memo_misses)),
+        ("memo_invalidations", u64_value(job.memo_invalidations)),
+        ("memo_reason", job.memo_reason.clone().map(Json::Str).unwrap_or(Json::Null)),
+        ("plan_fingerprint", opt_u64(job.plan_fingerprint)),
+        ("run_digest", opt_u64(job.run_digest)),
+        ("failure", job.failure.as_ref().map(failure_to_json).unwrap_or(Json::Null)),
     ])
 }
 
@@ -311,7 +307,7 @@ pub fn done_line(job: &JobView) -> String {
 }
 
 fn event_line(event: &str, job: &JobView) -> String {
-    let mut members = vec![field("event", Json::Str(event.into()))];
+    let mut members = vec![("event".to_string(), Json::Str(event.into()))];
     if let Json::Obj(rest) = job_to_json(job) {
         members.extend(rest);
     }
@@ -320,16 +316,13 @@ fn event_line(event: &str, job: &JobView) -> String {
 
 /// Encode one per-run event line from the engine's observer tap.
 pub fn run_line(result: &RunResult, resumed: bool) -> String {
-    Json::Obj(vec![
-        field("event", Json::Str("run".into())),
-        field("run", u64_value(result.run as u64)),
-        field("outcome", Json::Str(result.outcome.name().into())),
-        field("fired", Json::Bool(result.injection.is_some())),
-        field("resumed", Json::Bool(resumed)),
-        field(
-            "aborted",
-            result.aborted.map(|a| Json::Str(a.reason().into())).unwrap_or(Json::Null),
-        ),
+    Json::obj([
+        ("event", Json::Str("run".into())),
+        ("run", u64_value(result.run as u64)),
+        ("outcome", Json::Str(result.outcome.name().into())),
+        ("fired", Json::Bool(result.injection.is_some())),
+        ("resumed", Json::Bool(resumed)),
+        ("aborted", result.aborted.map(|a| Json::Str(a.reason().into())).unwrap_or(Json::Null)),
     ])
     .render()
 }

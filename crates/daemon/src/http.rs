@@ -65,7 +65,7 @@ pub enum Reply {
 impl Reply {
     /// A `{"error": message}` document with this status code.
     pub fn error(status: u16, message: impl Into<String>) -> Reply {
-        Reply::Json(status, Json::Obj(vec![("error".into(), Json::Str(message.into()))]))
+        Reply::Json(status, Json::obj([("error", Json::Str(message.into()))]))
     }
 }
 
@@ -213,7 +213,7 @@ fn handle_connection(mut stream: TcpStream, handler: &dyn Fn(&Request) -> Reply)
         Err(ParseError::Reject(status, message)) => {
             // Understood but unsupported: answer with the specific
             // status so the client can say what to change.
-            let body = Json::Obj(vec![("error".into(), Json::Str(message))]).render();
+            let body = Json::obj([("error", Json::Str(message))]).render();
             let _ = write_head(&mut stream, status, "application/json", Some(body.len()))
                 .and_then(|()| stream.write_all(body.as_bytes()));
             return;

@@ -144,11 +144,11 @@ pub fn route(queue: &Arc<JobQueue>, bench_dir: Option<&Path>, req: &Request) -> 
             let (running, queued, max_concurrent) = queue.counts();
             Reply::Json(
                 200,
-                Json::Obj(vec![
-                    ("status".into(), Json::Str("ok".into())),
-                    ("running".into(), Json::Num(running as f64)),
-                    ("queued".into(), Json::Num(queued as f64)),
-                    ("max_concurrent".into(), Json::Num(max_concurrent as f64)),
+                Json::obj([
+                    ("status", Json::Str("ok".into())),
+                    ("running", Json::Num(running as f64)),
+                    ("queued", Json::Num(queued as f64)),
+                    ("max_concurrent", Json::Num(max_concurrent as f64)),
                 ]),
             )
         }
@@ -210,7 +210,7 @@ fn submit(queue: &Arc<JobQueue>, body: &[u8]) -> Reply {
         Err(e) => return Reply::error(400, &e),
     };
     match queue.submit(spec) {
-        Ok(id) => Reply::Json(200, Json::Obj(vec![("id".into(), json::u64_value(id))])),
+        Ok(id) => Reply::Json(200, Json::obj([("id", json::u64_value(id))])),
         Err(e) => Reply::error(400, &e),
     }
 }
